@@ -18,13 +18,13 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
 from .cullen import cullen
 from .errors import BudgetError, FalsificationError
 from .factoring import (
-    COMPLETE,
     DEFAULT_BUDGET,
     FactorBudget,
     FactorCache,
@@ -35,7 +35,7 @@ from .factoring import (
     general_factor,
     lehmer_constrained_factor,
 )
-from .predicates import is_carmichael, lehmer_ratio
+from .predicates import RatioReport, is_carmichael, lehmer_ratio
 from .verifier import (
     cascade_as_dict,
     cascade_verify,
@@ -57,6 +57,13 @@ SCAN_FIELDS = [
     "witness", "factors", "factor_status", "cofactor", "probable", "ratio",
     "carmichael", "from_cache", "trial_divisions", "rho_iterations",
 ]
+RESEARCH_FIELDS = [
+    "kind", "n", "factored", "status", "factors", "cofactor", "phi", "gcd",
+    "ratio", "carmichael", "from_cache", "trial_divisions", "rho_iterations",
+]
+FACTOR_FIELDS = ["kind", "n", "cullen_bits", "factors", "factor_status",
+                 "cofactor", "probable", "from_cache", "trial_divisions",
+                 "rho_iterations"]
 
 
 class UsageError(Exception):
@@ -68,24 +75,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _resolve_int(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env_value = _env(env_name)
-    if env_value is not None:
+def _setting(flag_value: int | None, name: str, default: int, minimum: int) -> int:
+    """One integer setting: the flag, else CULLEN_<name>, else the default."""
+    value = flag_value
+    if value is None:
+        env_value = os.environ.get(ENV_PREFIX + name)
+        if env_value is None:
+            return default
         try:
-            return int(env_value)
+            value = int(env_value)
         except ValueError as exc:
-            raise UsageError(f"bad {ENV_PREFIX}{env_name}={env_value!r}") from exc
-    return default
+            raise UsageError(f"bad {ENV_PREFIX}{name}={env_value!r}") from exc
+    if value < minimum:
+        raise UsageError(f"--{name.lower()} / {ENV_PREFIX}{name} must be at least "
+                         f"{minimum}, got {value}")
+    return value
 
 
-def _resolve_cache(flag_value: str | None) -> str:
-    return flag_value or _env("CACHE") or DEFAULT_CACHE
+def _resolve(args) -> tuple[FactorBudget, int, FactorCache]:
+    """Budget, worker count and cache from flags > environment > defaults.
+
+    Both integers are validated here, before any cache is opened or any
+    worker process is started."""
+    rho = _setting(args.budget, "BUDGET", DEFAULT_BUDGET.rho_iterations, 0)
+    workers = _setting(args.workers, "WORKERS", 1, 1)
+    cache = FactorCache(args.cache or os.environ.get(ENV_PREFIX + "CACHE") or DEFAULT_CACHE)
+    return FactorBudget(rho_iterations=rho), workers, cache
 
 
 def build_parser() -> _Parser:
@@ -148,48 +163,42 @@ def build_parser() -> _Parser:
 # row computation (top-level so worker processes can receive it)
 
 
-def _build_row(n: int, budget: FactorBudget, cached: tuple | None) -> dict:
-    """Deterministic scan row for one index.
+@dataclass(frozen=True)
+class _Record:
+    """Everything computed for one index; every row schema is a projection."""
 
-    cached, when given, is the (factors, status, cofactor) triple from the
-    cache snapshot; it replaces the general-factoring step but never the
+    search: LehmerSearchResult
+    fact: Factorization
+    from_cache: bool
+    counter: WorkCounter
+    ratio: RatioReport | None  # both None unless fact is complete
+    carmichael: bool | None
+
+    @property
+    def n(self) -> int:
+        return self.search.n
+
+
+def _compute(n: int, budget: FactorBudget, cached: Factorization | None) -> _Record:
+    """Compute index n once.
+
+    cached, when given, replaces the general-factoring step but never the
     structured search, which is what produces the verdict.
     """
     counter = WorkCounter()
-    result = lehmer_constrained_factor(n)
-    c = cullen(n)
+    search = lehmer_constrained_factor(n)
     from_cache = False
-    if result.verdict == VERDICT_PRIME:
-        fact = result.factorization
+    if search.verdict == VERDICT_PRIME:
+        fact = search.factorization
     elif cached is not None:
-        fact = Factorization(c.value, tuple(cached[0]), cached[1], cached[2], cached[3])
-        from_cache = True
+        fact, from_cache = cached, True
     else:
-        fact = _extend_factorization(result, budget, counter)
-
-    ratio = None
-    carmichael = None
+        fact = _extend_factorization(search, budget, counter)
+    ratio = carmichael = None
     if fact.is_complete:
-        ratio = str(lehmer_ratio(n, fact).ratio)
-        carmichael = is_carmichael(c.value, fact)
-    return {
-        "kind": "row",
-        "n": n,
-        "cullen_bits": c.value.bit_length(),
-        "status": "prime" if result.verdict == VERDICT_PRIME else "composite",
-        "verdict": result.verdict,
-        "structured_divisors": [sp.value for sp in result.structured_divisors],
-        "witness": result.witness.detail,
-        "factors": fact.summary(),
-        "factor_status": fact.status,
-        "cofactor": fact.cofactor,
-        "probable": list(fact.probable),
-        "ratio": ratio,
-        "carmichael": carmichael,
-        "from_cache": from_cache,
-        "trial_divisions": counter.trial_divisions,
-        "rho_iterations": counter.rho_iterations,
-    }
+        ratio = lehmer_ratio(n, fact)
+        carmichael = is_carmichael(fact.value, fact)
+    return _Record(search, fact, from_cache, counter, ratio, carmichael)
 
 
 def _extend_factorization(
@@ -213,32 +222,24 @@ def _extend_factorization(
     )
 
 
-def _scan_task(payload: tuple) -> tuple[int, dict]:
-    n, budget_tuple, cached = payload
-    budget = FactorBudget(*budget_tuple)
-    return n, _build_row(n, budget, cached)
-
-
 def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
-    """Yield (n, row) in ascending n; independent indices may be computed
-    by a process pool, with a reordering buffer restoring emission order."""
-    payloads = []
-    for n in ns:
-        entry = cache.get(n)
-        cached = (
-            (entry.factors, entry.status, entry.cofactor, entry.probable)
-            if entry
-            else None
-        )
-        payloads.append((n, (budget.trial_bound, budget.rho_iterations), cached))
-    if workers <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            yield _scan_task(payload)
+    """Yield a _Record per index in ascending n, caching each new complete
+    factorization; independent indices may be computed by a process pool."""
+
+    def stored(record: _Record) -> _Record:
+        n = record.n
+        if record.fact.is_complete and not record.from_cache and cache.get(n) is None:
+            cache.put(n, record.fact)
+        return record
+
+    if workers <= 1 or len(ns) <= 1:
+        for n in ns:
+            yield stored(_compute(n, budget, cache.get(n)))
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_scan_task, payload) for payload in payloads]
+        futures = [pool.submit(_compute, n, budget, cache.get(n)) for n in ns]
         for future in futures:  # submission order is ascending n
-            yield future.result()
+            yield stored(future.result())
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,10 @@ def _now() -> str:
 
 
 class Emitter:
-    """Writes the header (timestamped) and the deterministic body."""
+    """Writes the header (timestamped) and the deterministic body.
+
+    In CSV mode the header and any report line are written as ``# `` comments
+    around the CSV table."""
 
     def __init__(self, out, as_csv: bool, fields: list[str] | None = None):
         self.out = out
@@ -259,23 +263,24 @@ class Emitter:
         self._csv_writer = None
 
     def header(self, command: str, params: dict) -> None:
-        meta = {"kind": "header", "command": command, "generated_at": _now(),
-                "params": params}
+        self.report({"kind": "header", "command": command, "generated_at": _now(),
+                     "params": params})
         if self.as_csv:
-            self.out.write("# " + json.dumps(meta, separators=(",", ":")) + "\n")
             self._csv_writer = csv.writer(self.out, lineterminator="\n")
             self._csv_writer.writerow(self.fields)
-        else:
-            self.out.write(json.dumps(meta, separators=(",", ":")) + "\n")
 
     def row(self, row: dict) -> None:
+        """Write the row's values for self.fields, in that order."""
+        values = [row[f] for f in self.fields]
         if self.as_csv:
-            self._csv_writer.writerow([_csv_cell(row.get(f)) for f in self.fields])
+            self._csv_writer.writerow([_csv_cell(v) for v in values])
         else:
-            self.out.write(json.dumps(row, separators=(",", ":")) + "\n")
+            line = json.dumps(dict(zip(self.fields, values)), separators=(",", ":"))
+            self.out.write(line + "\n")
 
     def report(self, payload: dict) -> None:
-        self.out.write(json.dumps(payload, separators=(",", ":"), default=str) + "\n")
+        prefix = "# " if self.as_csv else ""
+        self.out.write(prefix + json.dumps(payload, separators=(",", ":"), default=str) + "\n")
 
 
 def _csv_cell(value) -> str:
@@ -291,107 +296,89 @@ def _csv_cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
+# row schemas: each command's Emitter keeps its own fields from these dicts
+
+
+def _columns(n: int, fact: Factorization, from_cache: bool, counter: WorkCounter) -> dict:
+    """The columns every row command can report about one factorization."""
+    return {
+        "kind": "row",
+        "n": n,
+        "cullen_bits": fact.value.bit_length(),
+        "factors": fact.summary(),
+        "factor_status": fact.status,
+        "cofactor": fact.cofactor,
+        "probable": list(fact.probable),
+        "from_cache": from_cache,
+        "trial_divisions": counter.trial_divisions,
+        "rho_iterations": counter.rho_iterations,
+    }
+
+
+def _scan_row(record: _Record) -> dict:
+    search = record.search
+    return {
+        **_columns(record.n, record.fact, record.from_cache, record.counter),
+        "status": "prime" if search.verdict == VERDICT_PRIME else "composite",
+        "verdict": search.verdict,
+        "structured_divisors": [sp.value for sp in search.structured_divisors],
+        "witness": search.witness.detail,
+        "ratio": str(record.ratio.ratio) if record.ratio else None,
+        "carmichael": record.carmichael,
+    }
+
+
+def _research_row(record: _Record) -> dict:
+    row = _scan_row(record)
+    report = record.ratio
+    row.update(
+        factored=report is not None,
+        phi=str(report.phi) if report else None,
+        gcd=str(report.gcd_value) if report else None,
+    )
+    if report is None:
+        row.update(ratio="unknown", carmichael="unknown")
+    return row
+
+
+# ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_scan(args, out) -> int:
-    n_min = getattr(args, "n_min", None)
-    if n_min is None:
+def _cmd_rows(args, out) -> int:
+    """check, scan, ratio and carmichael: one record per index, projected to
+    the scan schema or, with a summary, to the research schema."""
+    if args.command == "check":
         n_min = n_max = args.n
     else:
-        n_max = args.n_max
+        n_min, n_max = args.n_min, args.n_max
     if n_min < 1 or n_max < n_min:
         raise UsageError("need 1 <= n_min <= n_max")
-    workers = _resolve_int(args.workers, "WORKERS", 1)
-    budget = FactorBudget(rho_iterations=_resolve_int(args.budget, "BUDGET",
-                                                      DEFAULT_BUDGET.rho_iterations))
-    cache = FactorCache(_resolve_cache(args.cache))
-    emitter = Emitter(out, args.csv, SCAN_FIELDS)
+    budget, workers, cache = _resolve(args)
+    research = args.command in ("ratio", "carmichael")
+    emitter = Emitter(out, args.csv, RESEARCH_FIELDS if research else SCAN_FIELDS)
     emitter.header(args.command, {"n_min": n_min, "n_max": n_max,
                                   "budget": budget.rho_iterations, "workers": workers,
                                   "cache": str(cache.path)})
-    for n, row in _compute_rows(range(n_min, n_max + 1), budget, cache, workers):
-        emitter.row(row)
-        if row["factor_status"] == COMPLETE and not row["from_cache"] and cache.get(n) is None:
-            fact = _row_factorization(n, row)
-            cache.put(n, fact)
-    return EXIT_OK
-
-
-def _row_factorization(n: int, row: dict) -> Factorization:
-    factors = []
-    for tok in row["factors"].split():
-        base, _, exp = tok.partition("^")
-        factors.append((int(base), int(exp) if exp else 1))
-    return Factorization(cullen(n).value, tuple(factors), row["factor_status"],
-                         row["cofactor"], tuple(row["probable"]))
-
-
-RESEARCH_FIELDS = [
-    "kind", "n", "factored", "status", "factors", "cofactor", "phi", "gcd",
-    "ratio", "carmichael", "from_cache", "trial_divisions", "rho_iterations",
-]
-
-
-def _cmd_research(args, out, command: str) -> int:
-    if args.n_min < 1 or args.n_max < args.n_min:
-        raise UsageError("need 1 <= n_min <= n_max")
-    workers = _resolve_int(args.workers, "WORKERS", 1)
-    budget = FactorBudget(rho_iterations=_resolve_int(args.budget, "BUDGET",
-                                                      DEFAULT_BUDGET.rho_iterations))
-    cache = FactorCache(_resolve_cache(args.cache))
-    emitter = Emitter(out, args.csv, RESEARCH_FIELDS)
-    emitter.header(command, {"n_min": args.n_min, "n_max": args.n_max,
-                             "budget": budget.rho_iterations, "workers": workers,
-                             "cache": str(cache.path)})
+    ns = range(n_min, n_max + 1)
     ratios: list[Fraction] = []
-    unfactored = 0
     carmichael_hits = 0
-    total = 0
-    for n, row in _compute_rows(range(args.n_min, args.n_max + 1), budget, cache, workers):
-        total += 1
-        factored = row["factor_status"] == COMPLETE
-        phi = g = None
-        if factored:
-            report = lehmer_ratio(n, _row_factorization(n, row))
-            phi, g = str(report.phi), str(report.gcd_value)
-        slim = {
-            "kind": "row",
-            "n": n,
-            "factored": factored,
-            "status": row["status"],
-            "factors": row["factors"],
-            "cofactor": row["cofactor"],
-            "phi": phi,
-            "gcd": g,
-            "ratio": row["ratio"] if factored else "unknown",
-            "carmichael": row["carmichael"] if factored else "unknown",
-            "from_cache": row["from_cache"],
-            "trial_divisions": row["trial_divisions"],
-            "rho_iterations": row["rho_iterations"],
-        }
-        emitter.row(slim)
-        if factored:
-            ratios.append(Fraction(row["ratio"]))
-            carmichael_hits += bool(row["carmichael"])
-            if not row["from_cache"] and cache.get(n) is None:
-                cache.put(n, _row_factorization(n, row))
-        else:
-            unfactored += 1
-    summary = {
-        "kind": "summary",
-        "rows": total,
-        "factored": total - unfactored,
-        "unfactored": unfactored,
-        "carmichael_count": carmichael_hits,
-        "ratio_min": str(min(ratios)) if ratios else None,
-        "ratio_mean": str(sum(ratios, Fraction(0)) / len(ratios)) if ratios else None,
-        "ratio_max": str(max(ratios)) if ratios else None,
-    }
-    if args.csv:
-        out.write("# " + json.dumps(summary, separators=(",", ":")) + "\n")
-    else:
-        out.write(json.dumps(summary, separators=(",", ":")) + "\n")
+    for record in _compute_rows(ns, budget, cache, workers):
+        emitter.row(_research_row(record) if research else _scan_row(record))
+        if record.ratio is not None:
+            ratios.append(record.ratio.ratio)
+            carmichael_hits += record.carmichael
+    if research:
+        emitter.report({
+            "kind": "summary",
+            "rows": len(ns),
+            "factored": len(ratios),
+            "unfactored": len(ns) - len(ratios),
+            "carmichael_count": carmichael_hits,
+            "ratio_min": str(min(ratios)) if ratios else None,
+            "ratio_mean": str(sum(ratios, Fraction(0)) / len(ratios)) if ratios else None,
+            "ratio_max": str(max(ratios)) if ratios else None,
+        })
     return EXIT_OK
 
 
@@ -427,42 +414,34 @@ def _cmd_product_bound(args, out) -> int:
     return EXIT_OK
 
 
-FACTOR_FIELDS = ["kind", "n", "cullen_bits", "factors", "factor_status",
-                 "cofactor", "probable", "from_cache", "trial_divisions",
-                 "rho_iterations"]
-
-
 def _cmd_factor(args, out) -> int:
     if args.n < 1:
         raise UsageError("need n >= 1")
-    budget = FactorBudget(rho_iterations=_resolve_int(args.budget, "BUDGET",
-                                                      DEFAULT_BUDGET.rho_iterations))
-    cache = FactorCache(_resolve_cache(args.cache))
+    budget, _, cache = _resolve(args)
     emitter = Emitter(out, args.csv, FACTOR_FIELDS)
     emitter.header("factor", {"n": args.n, "budget": budget.rho_iterations,
                               "cache": str(cache.path)})
-    c = cullen(args.n)
     counter = WorkCounter()
-    entry = cache.get(args.n)
-    if entry is not None:
-        fact, from_cache = entry, True
-    else:
-        fact, from_cache = general_factor(c.value, budget, counter), False
+    fact = cache.get(args.n)
+    from_cache = fact is not None
+    if not from_cache:
+        fact = general_factor(cullen(args.n).value, budget, counter)
         if fact.is_complete:
             cache.put(args.n, fact)
-    emitter.row({
-        "kind": "row",
-        "n": args.n,
-        "cullen_bits": c.value.bit_length(),
-        "factors": fact.summary(),
-        "factor_status": fact.status,
-        "cofactor": fact.cofactor,
-        "probable": list(fact.probable),
-        "from_cache": from_cache,
-        "trial_divisions": counter.trial_divisions,
-        "rho_iterations": counter.rho_iterations,
-    })
+    emitter.row(_columns(args.n, fact, from_cache, counter))
     return EXIT_OK
+
+
+COMMANDS = {
+    "check": _cmd_rows,
+    "scan": _cmd_rows,
+    "ratio": _cmd_rows,
+    "carmichael": _cmd_rows,
+    "bounds": _cmd_bounds,
+    "pigeonhole": _cmd_pigeonhole,
+    "product-bound": _cmd_product_bound,
+    "factor": _cmd_factor,
+}
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
@@ -470,23 +449,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return _cmd_scan(args, out)
-        if args.command == "scan":
-            return _cmd_scan(args, out)
-        if args.command == "bounds":
-            return _cmd_bounds(args, out)
-        if args.command == "pigeonhole":
-            return _cmd_pigeonhole(args, out)
-        if args.command == "product-bound":
-            return _cmd_product_bound(args, out)
-        if args.command == "carmichael":
-            return _cmd_research(args, out, "carmichael")
-        if args.command == "ratio":
-            return _cmd_research(args, out, "ratio")
-        if args.command == "factor":
-            return _cmd_factor(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args, out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

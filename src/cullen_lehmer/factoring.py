@@ -26,6 +26,7 @@ from .primality import (
     PRIME,
     PROBABLE_PRIME,
     StructuredPrime,
+    _sieve,
     is_prime,
     proth_test,
     structured_verdict,
@@ -60,8 +61,8 @@ class Factorization:
     def __post_init__(self):
         if self.status not in (COMPLETE, PARTIAL):
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == COMPLETE and self.cofactor != 1:
-            raise ValueError("complete factorization must have cofactor 1")
+        if (self.status == COMPLETE) != (self.cofactor == 1):
+            raise ValueError("cofactor must be 1 exactly when the factorization is complete")
         if self.cofactor < 1:
             raise ValueError("cofactor must be positive")
         primes = [p for p, _ in self.factors]
@@ -123,20 +124,6 @@ class WorkCounter:
         }
 
 
-_trial_primes_cache: dict[int, tuple[int, ...]] = {}
-
-
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    if bound not in _trial_primes_cache:
-        flags = bytearray([1]) * bound
-        flags[0:2] = b"\x00\x00"
-        for p in range(2, int(bound**0.5) + 1):
-            if flags[p]:
-                flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-        _trial_primes_cache[bound] = tuple(i for i, f in enumerate(flags) if f)
-    return _trial_primes_cache[bound]
-
-
 def _brent_rho(n: int, c: int, max_iters: int, counter: WorkCounter) -> int | None:
     """One Brent cycle-finding round on x -> x^2 + c (mod n), x0 = 2.
 
@@ -191,7 +178,7 @@ def general_factor(
     leftovers: list[int] = []
 
     m = N
-    for p in _trial_primes(budget.trial_bound):
+    for p in _sieve(budget.trial_bound - 1):
         if p * p > m:
             break
         counter.trial_divisions += 1
@@ -435,7 +422,8 @@ class FactorCache:
 
     One record per line: ``n<TAB>status<TAB>p1^e1 p2 ...<TAB>cofactor``
     (exponent suffix omitted when 1); lines starting with ``#`` are
-    comments.  Malformed or arithmetically inconsistent lines are skipped
+    comments.  Malformed or arithmetically inconsistent lines, including a
+    listed factor below DETERMINISTIC_LIMIT that is not prime, are skipped
     with a logged warning and counted, never silently trusted.  Writers
     funnel through one lock; readers see the snapshot loaded at
     construction plus this process's own puts.
@@ -488,6 +476,11 @@ class FactorCache:
         fact = Factorization(value, tuple(factors), status, cofactor, probable)
         if fact.value != cullen(n).value:
             raise ValueError(f"line does not reproduce C({n})")
+        # certify only below the limit, where it is cheap: a prime row caches
+        # C(n) itself, thousands of bits, and every command reloads the cache
+        for p, _ in factors:
+            if p < DETERMINISTIC_LIMIT and not is_prime(p).is_prime:
+                raise ValueError(f"listed factor {p} is not prime")
         return n, fact
 
     def get(self, n: int) -> Factorization | None:

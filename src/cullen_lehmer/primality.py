@@ -10,6 +10,7 @@ of any size.  Only the general probabilistic fallback can return
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cullen import odd_divisors
 from .errors import BudgetError
@@ -28,7 +29,9 @@ DEFAULT_ROUNDS = 64
 PROTH_BASE_CAP = 64
 
 
+@lru_cache(maxsize=4)
 def _sieve(limit: int) -> tuple[int, ...]:
+    """Primes up to and including limit."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, int(limit**0.5) + 1):

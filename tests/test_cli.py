@@ -70,13 +70,32 @@ class TestCheckAndScan:
         assert lines[1].split(",")[:3] == ["kind", "n", "cullen_bits"]
         assert len(lines) == 2 + 5
 
-    def test_usage_errors(self, tmp_path):
+    def test_usage_errors(self, tmp_path, monkeypatch, capsys):
         code, _, err = run_cli("scan", 5, 1)
         assert code == EXIT_USAGE
         code, _, _ = run_cli("scan", 0, 4)
         assert code == EXIT_USAGE
         code, _, _ = run_cli("nonsense")
         assert code == EXIT_USAGE
+        # a negative budget or fewer than one worker, by flag or environment;
+        # CULLEN_WORKERS=2 would start a pool if validation came too late,
+        # and with the pool class gone, starting one would raise instead
+        import cullen_lehmer.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", None)
+        argv = ["scan", "1", "3", "--cache", str(tmp_path / "c.txt")]
+        for flag, value in (("--budget", "-1"), ("--workers", "0"), ("--workers", "-2")):
+            env_name = "CULLEN_" + flag[2:].upper()
+            for extra, env in (([flag, value], {}), ([], {env_name: value})):
+                with monkeypatch.context() as m:
+                    m.setenv("CULLEN_WORKERS", "2")
+                    for name, setting in env.items():
+                        m.setenv(name, setting)
+                    out = io.StringIO()
+                    assert main(argv + extra, out=out) == EXIT_USAGE, (extra, env)
+                    assert out.getvalue() == ""
+                    assert "must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
 
 
 class TestReports:
@@ -152,6 +171,13 @@ class TestResearchScans:
         assert all(r["ratio"] == "unknown" and r["carmichael"] == "unknown" for r in unknown)
         assert summaries[0]["unfactored"] == len(unknown)
 
+    def test_csv_summary_is_a_comment_line(self, tmp_path):
+        code, out, _ = run_cli("ratio", 1, 3, "--csv", "--cache", tmp_path / "c.txt")
+        assert code == EXIT_OK
+        last = out.splitlines()[-1]
+        assert last.startswith('# {"kind":"summary",')
+        assert json.loads(last[2:])["rows"] == 3
+
 
 class TestDeterminism:
     def test_repeat_run_body_identical(self, tmp_path):
@@ -168,6 +194,34 @@ class TestDeterminism:
         assert code == EXIT_OK
         _, rows, _, _ = parse_jsonl(out)
         assert rows[0]["from_cache"] is True
+
+    @pytest.mark.parametrize("line", [
+        "6\tcomplete\t11 35\t1",    # 35 is not prime; the ratio would read 85
+        "6\tpartial\t5 7 11\t1",    # partial needs a cofactor above 1
+    ])
+    def test_inconsistent_cache_line_skipped(self, tmp_path, line):
+        cache = tmp_path / "c.txt"
+        cache.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli("ratio", 6, 6, "--cache", cache)
+        assert code == EXIT_OK
+        _, rows, _, _ = parse_jsonl(out)
+        assert rows[0]["from_cache"] is False
+        assert rows[0]["factors"] == "5 7 11" and rows[0]["ratio"] == "5"
+        assert "line 1 skipped" in err
+
+    def test_research_body_identical_across_workers(self, tmp_path):
+        args = ("ratio", 1, 40, "--budget", 4096)
+        one = run_cli(*args, "--workers", 1, "--cache", tmp_path / "a.txt")
+        two = run_cli(*args, "--workers", 2, "--cache", tmp_path / "b.txt")
+        assert one[0] == two[0] == EXIT_OK
+        assert body_of(one[1]) == body_of(two[1])
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
+
+    def test_check_body_equals_scan_body(self, tmp_path):
+        for n in (1, 6, 141):
+            check = run_cli("check", n, "--cache", tmp_path / f"c{n}.txt")[1]
+            scan = run_cli("scan", n, n, "--cache", tmp_path / f"s{n}.txt")[1]
+            assert body_of(check) == body_of(scan)
 
 
 class TestExitCodes:

@@ -27,6 +27,19 @@ from cullen_lehmer.factoring import (
 ALL_VERDICTS = {VERDICT_PRIME, VERDICT_SQUAREFREE, VERDICT_STRUCTURAL, VERDICT_TOTIENT}
 
 
+class TestFactorization:
+    @pytest.mark.parametrize("value, factors, status, cofactor", [
+        (385, ((5, 1), (7, 1)), COMPLETE, 11),          # complete with a cofactor
+        (385, ((5, 1), (7, 1), (11, 1)), PARTIAL, 1),   # partial with nothing left
+        (385, ((5, 1), (7, 1), (11, 1)), "done", 1),    # unknown status
+        (385, ((5, 1), (7, 1)), COMPLETE, 1),           # product misses the value
+        (385, ((7, 1), (5, 1), (11, 1)), COMPLETE, 1),  # primes out of order
+    ])
+    def test_rejects_inconsistent(self, value, factors, status, cofactor):
+        with pytest.raises(ValueError):
+            Factorization(value, factors, status, cofactor)
+
+
 class TestGeneralFactor:
     def test_examples(self):
         f = general_factor(385)
@@ -223,13 +236,14 @@ class TestFactorCache:
             + "not a record at all\n"
             + "6\tcomplete\t5 7\t1\n"          # product does not reproduce C(6)
             + "2\tbogus-status\t3^2\t1\n"       # unknown status
+            + "6\tcomplete\t11 35\t1\n"         # 35 is not prime
             + "11\tcomplete\t13 1733\t1\n",
             encoding="utf-8",
         )
         with caplog.at_level(logging.WARNING):
             cache = FactorCache(path)
-        assert cache.skipped_lines == 3
-        assert sum("skipped" in rec.message for rec in caplog.records) == 3
+        assert cache.skipped_lines == 4
+        assert sum("skipped" in rec.message for rec in caplog.records) == 4
         assert cache.get(6).summary() == "5 7 11"
         assert cache.get(11).factors == ((13, 1), (1733, 1))
         assert len(cache) == 2
