@@ -63,15 +63,17 @@ def within(x, target: Exact, tol: Exact) -> bool:
     return lo.b < ex.a and ex.b < hi.a
 
 
-def _resolve(builder: Callable[[], object], decide: Callable[[object], object]):
-    """Evaluate builder at escalating precision until decide() commits."""
+def _round_certified(builder: Callable[[], object], rounding) -> int:
+    """Evaluate builder at escalating precision until both endpoints of its
+    enclosure round (mpmath.floor or mpmath.ceil) to the same integer."""
     saved = iv.dps
     try:
         for dps in _ESCALATION_DPS:
             iv.dps = dps
-            result = decide(builder())
-            if result is not None:
-                return result
+            x = builder()
+            lo, hi = int(rounding(x.a)), int(rounding(x.b))
+            if lo == hi:
+                return lo
     finally:
         iv.dps = saved
     raise PrecisionError("enclosure still ambiguous at maximum precision")
@@ -80,22 +82,11 @@ def _resolve(builder: Callable[[], object], decide: Callable[[object], object]):
 def floor_certified(builder: Callable[[], object]) -> int:
     """floor of the real number enclosed by builder(), certified by the
     two endpoints flooring identically."""
-
-    def decide(x):
-        lo = int(mpmath.floor(x.a))
-        hi = int(mpmath.floor(x.b))
-        return lo if lo == hi else None
-
-    return _resolve(builder, decide)
+    return _round_certified(builder, mpmath.floor)
 
 
 def ceil_certified(builder: Callable[[], object]) -> int:
-    def decide(x):
-        lo = int(mpmath.ceil(x.a))
-        hi = int(mpmath.ceil(x.b))
-        return lo if lo == hi else None
-
-    return _resolve(builder, decide)
+    return _round_certified(builder, mpmath.ceil)
 
 
 def fmt(x, digits: int = 12) -> str:

@@ -96,9 +96,9 @@ def _resolve(args) -> tuple[FactorBudget, int, FactorCache]:
     """Budget, worker count and cache from flags > environment > defaults.
 
     Both integers are validated here, before any cache is opened or any
-    worker process is started."""
+    worker process is started; the worker count is capped at the CPU count."""
     rho = _setting(args.budget, "BUDGET", DEFAULT_BUDGET.rho_iterations, 0)
-    workers = _setting(args.workers, "WORKERS", 1, 1)
+    workers = min(_setting(args.workers, "WORKERS", 1, 1), os.cpu_count() or 1)
     cache = FactorCache(args.cache or os.environ.get(ENV_PREFIX + "CACHE") or DEFAULT_CACHE)
     return FactorBudget(rho_iterations=rho), workers, cache
 
@@ -113,7 +113,8 @@ def build_parser() -> _Parser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default 1, env CULLEN_WORKERS)")
+                        help="worker processes, capped at the CPU count "
+                        "(default 1, env CULLEN_WORKERS)")
     common.add_argument("--budget", type=int, default=None,
                         help="Pollard-rho iteration budget per value "
                         f"(default {DEFAULT_BUDGET.rho_iterations}, env CULLEN_BUDGET)")
@@ -130,17 +131,15 @@ def build_parser() -> _Parser:
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
 
-    p = sub.add_parser("bounds", parents=[common],
-                       help="replay the bound cascade and the smooth-prime product")
+    p = sub.add_parser("bounds", help="replay the bound cascade and the smooth-prime product")
     p.add_argument("--cap", type=int, default=10_000_000,
                    help="enumeration cap for the product bound (default 1e7)")
 
-    p = sub.add_parser("pigeonhole", parents=[common], help="build the small-combination pair")
+    p = sub.add_parser("pigeonhole", help="build the small-combination pair")
     p.add_argument("n", type=int)
     p.add_argument("np", type=int)
 
-    p = sub.add_parser("product-bound", parents=[common],
-                       help="certified product over primes 2^a*3^b + 1")
+    p = sub.add_parser("product-bound", help="certified product over primes 2^a*3^b + 1")
     p.add_argument("--cap", type=int, default=10_000_000)
 
     p = sub.add_parser("carmichael", parents=[common],

@@ -80,9 +80,6 @@ class Factorization:
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
     def summary(self) -> str:
         toks = [f"{p}^{k}" if k > 1 else str(p) for p, k in self.factors]
         return " ".join(toks)
@@ -254,13 +251,15 @@ class LehmerSearchResult:
 
 def _candidate_forms(c: CullenNumber) -> list[tuple[int, int, int]]:
     """(value, m, e) for every m*2^e + 1 with m | n odd and e <= n2,
-    ascending by value.  This list provably contains every prime p with
-    p-1 | C(n)-1, prime or not; primality is only checked for the few
-    forms that actually divide C(n)."""
+    ascending by value, except C(n) = n1*2^n2 + 1 itself, which the Proth
+    head has already decided.  This list provably contains every prime
+    proper divisor p of C(n) with p-1 | C(n)-1; primality is only checked
+    for the few forms that actually divide C(n)."""
     forms = [
         ((m << e) + 1, m, e)
         for m in odd_divisors(c.n)
         for e in range(1, c.n2 + 1)
+        if (m, e) != (c.n1, c.n2)
     ]
     forms.sort()
     return forms

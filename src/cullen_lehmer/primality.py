@@ -91,17 +91,15 @@ def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
     return True
 
 
-def is_prime(N: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
+def is_prime(N: int) -> PrimalityVerdict:
     """Primality verdict for N >= 0.
 
     Deterministic below DETERMINISTIC_LIMIT via the fixed witness set;
-    above it, a probabilistic test over the first `rounds` prime bases
+    above it, a probabilistic test over the first DEFAULT_ROUNDS prime bases
     (fixed, so identical runs reproduce) reporting probable_prime at best.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    if not 1 <= rounds <= len(SMALL_PRIMES):
-        raise ValueError(f"rounds must be in 1..{len(SMALL_PRIMES)}")
     if N < 2:
         return PrimalityVerdict(N, NOT_PRIME, "trial")
     for p in SMALL_PRIMES:
@@ -121,7 +119,7 @@ def is_prime(N: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
             if _mr_composite_witness(a, d, s, N):
                 return PrimalityVerdict(N, COMPOSITE, "deterministic-mr", witness=a)
         return PrimalityVerdict(N, PRIME, "deterministic-mr")
-    for a in SMALL_PRIMES[:rounds]:
+    for a in SMALL_PRIMES[:DEFAULT_ROUNDS]:
         if _mr_composite_witness(a, d, s, N):
             return PrimalityVerdict(N, COMPOSITE, "probabilistic-mr", witness=a)
     return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
@@ -157,12 +155,11 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
 
 FERMAT_PRIMES = ((0, 3), (1, 5), (2, 17), (3, 257), (4, 65537))
 
-# Compositeness witnesses cheap enough to recheck live on every call.
+# Compositeness witnesses cheap enough to recheck live on every call.  For
+# 7..18 compositeness is settled in the literature, but certifying it here
+# would need factor tables or Pepin runs we do not reproduce; fermat_status
+# flags those verdicts as external.
 _FERMAT_FACTORS = {5: 641, 6: 274177}
-# For 7..18 compositeness is settled in the literature, but certifying it
-# here would need factor tables or Pepin runs we do not reproduce; those
-# verdicts are embedded data and flagged as external.
-FERMAT_TABLE_RANGE = range(7, 19)
 
 
 def fermat_primes() -> tuple[tuple[int, int], ...]:

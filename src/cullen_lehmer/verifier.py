@@ -23,7 +23,7 @@ natural logarithm throughout; the 2.4 constant only works because
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -148,24 +148,17 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
         for b in range(N + 1):
             buckets.setdefault(base + b * np_, []).append((a, b))
 
+    # d* is the least |L difference| between distinct grid points: 0 when
+    # two points share a value, else the smallest gap between values
     svals = sorted(buckets)
-    dstar = None
-    if any(len(g) > 1 for g in buckets.values()):
-        dstar = 0
-    else:
-        dstar = min(y - x for x, y in zip(svals, svals[1:]))
-
-    candidates = []
-    if dstar == 0:
-        for group in buckets.values():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    candidates.append(_normalize(group[i], group[j]))
-    else:
-        for x in svals:
-            for p1 in buckets.get(x, ()):
-                for p2 in buckets.get(x + dstar, ()):
-                    candidates.append(_normalize(p1, p2))
+    dstar = 0 if len(svals) < (N + 1) ** 2 else min(y - x for x, y in zip(svals, svals[1:]))
+    candidates = [
+        _normalize(p1, p2)
+        for x, group in buckets.items()
+        for p1 in group
+        for p2 in buckets.get(x + dstar, ())
+        if p1 != p2
+    ]
     u, v = min(candidates, key=lambda t: (t[0], abs(t[1]), t[1]))
     pair = PigeonholePair(n, np_, u, v, u * n + v * np_)
     if n >= 30:
@@ -174,6 +167,8 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
 
 
 def _normalize(p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int]:
+    """The reduced, sign-normalized difference p2 - p1; the pair (p2, p1)
+    maps to the same (u, v)."""
     u, v = p2[0] - p1[0], p2[1] - p1[1]
     if u < 0 or (u == 0 and v < 0):
         u, v = -u, -v
@@ -251,16 +246,8 @@ def a_expression(n: int, m_p: int, n_p: int, u: int, v: int) -> AExpression:
     bound_exp = ceil_certified(lambda: 6 * sqrt_i(enclose(n) * ln_i(n)))
     if n >= 30:
         _check_numerator_bound(numerator, n)
-    return AExpression(
-        n=n,
-        m_p=m_p,
-        n_p=n_p,
-        u=u,
-        v=v,
-        value=value,
-        numerator=numerator,
-        numerator_bound=1 << bound_exp,
-    )
+    return AExpression(n=n, m_p=m_p, n_p=n_p, u=u, v=v, value=value,
+                       numerator=numerator, numerator_bound=1 << bound_exp)
 
 
 def _check_numerator_bound(numerator: int, n: int) -> None:
@@ -437,9 +424,50 @@ def _gap_monotone_from(n: int) -> bool:
     return surely_gt(bracket, 0)
 
 
-def _k_lower_monotone_from(n: int) -> bool:
-    """sqrt(n)/(6 sqrt(ln n)) is increasing wherever ln n > 1."""
-    return surely_gt(ln_i(n), 1)
+def _log_ratio(x: int, base: int, shift: int = 0):
+    """The enclosure of shift + ln x/ln base and its certified floor, both
+    taken from one builder."""
+
+    def build():
+        return shift + ln_i(x) / ln_i(base)
+
+    return build(), floor_certified(build)
+
+
+def _ln3_recount(name: str, claim: str, n: int, printed: str, expected_floor: int) -> CascadeStage:
+    """k <= 5 + floor(ln n/ln 3): the five Fermat primes plus at most
+    ln n/ln 3 factors with m_p > 1, with the printed decimal checked to 5e-5."""
+    ratio, floor = _log_ratio(n, 3)
+    close = within(ratio, Fraction(printed), Fraction(5, 100_000))
+    return CascadeStage(
+        name=name,
+        claim=claim,
+        data={
+            f"ln({n})/ln(3)": bounds_str(ratio),
+            "printed_decimal": printed,
+            "printed_decimal_within_5e-5": close,
+            "floor": floor,
+            "k_cap": 5 + floor,
+        },
+        passed=floor == expected_floor and close,
+    )
+
+
+def _k_lower_push(n: int, k_cap: int) -> CascadeStage:
+    """k <= k_cap forces the index below n: k_lower(n) > k_cap, and
+    sqrt(n)/(6 sqrt(ln n)) increases wherever ln n > 1."""
+    kl = k_lower(n)
+    monotone = surely_gt(ln_i(n), 1)
+    return CascadeStage(
+        name=f"n<{n}",
+        claim=f"k_lower({n}) > {k_cap} and k_lower increases, so n < {n}",
+        data={f"k_lower_at_{n}": bounds_str(kl), "monotone": monotone},
+        passed=surely_gt(kl, k_cap) and monotone,
+    )
+
+
+# product_as_dict fields that only the full product report carries
+_PRODUCT_DETAIL = ("primes_used", "tail_bound_decimal", "total_upper")
 
 
 def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
@@ -497,93 +525,38 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
     statuses = [fermat_status(g) for g in range(19)]
     prime_gammas = [st.gamma for st in statuses if st.status == PRIME]
     external = [st.gamma for st in statuses if st.source == "external-table"]
+    factors = {st.gamma: st.factor for st in statuses if st.factor is not None}
     stages.append(
         CascadeStage(
             name="fermat-prime-count",
             claim="among exponents 0..19 only 0..4 give Fermat primes",
             data={
                 "prime_gammas": prime_gammas,
-                "verified_factors": {5: 641, 6: 274177, 19: F19_FACTOR},
+                "verified_factors": {**factors, 19: F19_FACTOR},
                 "external_table_gammas": external,
             },
             passed=prime_gammas == [0, 1, 2, 3, 4],
         )
     )
 
-    # Stage 4: k <= 5 + floor(ln(600000)/ln 3) = 17.
-    ratio3 = ln_i(600_000) / ln_i(3)
-    floor3 = floor_certified(lambda: ln_i(600_000) / ln_i(3))
-    dec1 = within(ratio3, Fraction("12.1104"), Fraction(5, 100_000))
-    stages.append(
-        CascadeStage(
-            name="k<=17",
-            claim="at most ln n/ln 3 factors have m_p > 1, so k <= 5 + 12 = 17",
-            data={
-                "ln(600000)/ln(3)": bounds_str(ratio3),
-                "printed_decimal": "12.1104",
-                "printed_decimal_within_5e-5": dec1,
-                "floor": floor3,
-                "k_cap": 5 + floor3,
-            },
-            passed=floor3 == 12 and dec1,
-        )
-    )
-
-    # Stage 5: k <= 17 pushes n below 122000.
-    kl17 = k_lower(122_000)
-    mono17 = _k_lower_monotone_from(122_000)
-    stages.append(
-        CascadeStage(
-            name="n<122000",
-            claim="k_lower(122000) > 17 and k_lower increases, so n < 122000",
-            data={
-                "k_lower_at_122000": bounds_str(kl17),
-                "monotone": mono17,
-            },
-            passed=surely_gt(kl17, 17) and mono17,
-        )
-    )
-
-    # Stage 6: recount gives k <= 15.
-    ratio3b = ln_i(122_000) / ln_i(3)
-    floor3b = floor_certified(lambda: ln_i(122_000) / ln_i(3))
-    dec2 = within(ratio3b, Fraction("10.6605"), Fraction(5, 100_000))
-    stages.append(
-        CascadeStage(
-            name="k<=15",
-            claim="ln(122000)/ln 3 floors to 10, so k <= 5 + 10 = 15",
-            data={
-                "ln(122000)/ln(3)": bounds_str(ratio3b),
-                "printed_decimal": "10.6605",
-                "printed_decimal_within_5e-5": dec2,
-                "floor": floor3b,
-                "k_cap": 5 + floor3b,
-            },
-            passed=floor3b == 10 and dec2,
-        )
-    )
-
-    # Stage 7: k <= 15 pushes n below 93000.
-    kl15 = k_lower(93_000)
-    mono15 = _k_lower_monotone_from(93_000)
-    stages.append(
-        CascadeStage(
-            name="n<93000",
-            claim="k_lower(93000) > 15 and k_lower increases, so n < 93000",
-            data={
-                "k_lower_at_93000": bounds_str(kl15),
-                "monotone": mono15,
-            },
-            passed=surely_gt(kl15, 15) and mono15,
-        )
-    )
+    # Stages 4-7: recount k with base 3, then push n down with k_lower.
+    stages += [
+        _ln3_recount(
+            "k<=17", "at most ln n/ln 3 factors have m_p > 1, so k <= 5 + 12 = 17",
+            600_000, "12.1104", 12,
+        ),
+        _k_lower_push(122_000, 17),
+        _ln3_recount(
+            "k<=15", "ln(122000)/ln 3 floors to 10, so k <= 5 + 10 = 15",
+            122_000, "10.6605", 10,
+        ),
+        _k_lower_push(93_000, 15),
+    ]
 
     # Stage 8: 3 must divide n.  Otherwise odd shape factors m_p > 1 are
     # products of primes >= 5, so at most ln n/ln 5 of them fit into n.
-    ratio5_93 = ln_i(93_000) / ln_i(5)
-    ratio5_100k = ln_i(100_000) / ln_i(5)
-    floor5_93 = floor_certified(lambda: ln_i(93_000) / ln_i(5))
-    floor5_100k = floor_certified(lambda: ln_i(100_000) / ln_i(5))
+    ratio5_93, floor5_93 = _log_ratio(93_000, 5)
+    ratio5_100k, floor5_100k = _log_ratio(100_000, 5)
     count8 = floor5_93 + 5
     stages.append(
         CascadeStage(
@@ -614,8 +587,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
     # Stage 9: no prime q > 3 divides n.  With 3 | n (so the Fermat prime 3
     # is unavailable: C(n) = n*2^n + 1 = 1 mod 3), a q > 3 would leave at
     # most 1 + ln(93000/5)/ln 3 shape factors plus 4 Fermat primes.
-    ratio_q = 1 + ln_i(18_600) / ln_i(3)
-    floor_q = floor_certified(lambda: 1 + ln_i(18_600) / ln_i(3))
+    ratio_q, floor_q = _log_ratio(18_600, 3, shift=1)
     dec3 = within(ratio_q, Fraction("9.94849"), Fraction(5, 100_000))
     count9 = floor_q + 4
     stages.append(
@@ -642,6 +614,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
     # 2^a*3^b + 1, and the full product of (1 + 1/(p-1)) stays below 2,
     # contradicting (C(n)-1)/phi(C(n)) being an integer >= 2.
     product = two_three_product_bound(product_cap)
+    summary = {k: v for k, v in product_as_dict(product).items() if k not in _PRODUCT_DETAIL}
     stages.append(
         CascadeStage(
             name="product-contradiction",
@@ -650,14 +623,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
                 "counterexample, yet it equals a product certified below 2"
             ),
             data={
-                "cap": product.cap,
-                "partial_product": str(product.partial_product),
-                "partial_product_decimal": f"{float(product.partial_product):.6f}",
-                "tail_bound": str(product.tail_bound),
-                "total_upper_decimal": f"{float(product.total_upper):.6f}",
-                "below_two": product.below_two,
-                "cited_bound": str(product.cited_bound),
-                "exceeds_cited_bound": product.exceeds_cited_bound,
+                **summary,
                 "cited_bound_note": (
                     "the quoted 1.46 is below even the two smallest factors' "
                     "product 35/24; the certified value is near 1.93, still < 2"
@@ -667,12 +633,11 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
         )
     )
 
-    cascade = BoundCascade(
+    return BoundCascade(
         stages=tuple(stages),
         product=product,
         final_verdict="contradiction established" if all(s.passed for s in stages) else "FALSIFIED",
     )
-    return cascade
 
 
 # ---------------------------------------------------------------------------
@@ -681,15 +646,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
 
 def cascade_as_dict(cascade: BoundCascade) -> dict:
     return {
-        "stages": [
-            {
-                "name": s.name,
-                "claim": s.claim,
-                "data": s.data,
-                "passed": s.passed,
-            }
-            for s in cascade.stages
-        ],
+        "stages": [asdict(s) for s in cascade.stages],
         "passed": cascade.passed,
         "final_verdict": cascade.final_verdict,
     }

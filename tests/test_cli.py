@@ -5,7 +5,7 @@ import os
 import pytest
 
 from cullen_lehmer import cullen
-from cullen_lehmer.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, main
+from cullen_lehmer.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _resolve, build_parser, main
 from cullen_lehmer.errors import FalsificationError
 
 from conftest import body_of, parse_jsonl, run_cli
@@ -97,6 +97,18 @@ class TestCheckAndScan:
                     assert "must be at least" in capsys.readouterr().err
         assert not (tmp_path / "c.txt").exists()
 
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # resolved without starting a pool, so the huge request costs nothing
+        parser = build_parser()
+        argv = ["scan", "1", "3", "--cache", str(tmp_path / "c.txt")]
+        _, workers, _ = _resolve(parser.parse_args(argv + ["--workers", str(10**6)]))
+        assert workers == os.cpu_count()
+        monkeypatch.setenv("CULLEN_WORKERS", str(10**6))
+        _, workers, _ = _resolve(parser.parse_args(argv))
+        assert workers == os.cpu_count()
+        _, workers, _ = _resolve(parser.parse_args(argv + ["--workers", "1"]))
+        assert workers == 1
+
 
 class TestReports:
     def test_bounds(self, tmp_path):
@@ -125,6 +137,21 @@ class TestReports:
         _, _, _, reports = parse_jsonl(out)
         assert reports[0]["below_two"] is True
         assert reports[0]["partial_product_decimal"].startswith("1.926")
+
+    @pytest.mark.parametrize("command", [
+        ["bounds"], ["pigeonhole", "40", "11"], ["product-bound", "--cap", "1000"],
+    ])
+    @pytest.mark.parametrize("flag", [
+        ["--csv"], ["--json"], ["--workers", "2"], ["--budget", "0"], ["--cache", "x"],
+    ])
+    def test_row_flags_are_usage_errors(self, command, flag, tmp_path, monkeypatch, capsys):
+        # report commands take only their own arguments
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        assert main(command + flag, out=out) == EXIT_USAGE
+        assert out.getvalue() == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_factor_writes_cache(self, tmp_path):
         cache = tmp_path / "c.txt"

@@ -165,6 +165,31 @@ class TestLehmerConstrainedFactor:
         for n in range(1, 61):
             assert lehmer_constrained_factor(n).verdict in ALL_VERDICTS
 
+    @pytest.mark.parametrize("n, cofactor", [
+        (5, 161), (9, 4609), (11, 22529), (34, 584115552257),
+    ])
+    def test_cullen_value_proth_tested_once(self, n, cofactor, monkeypatch):
+        # no structured prime divides these C(n), so the candidate loop used
+        # to reach C(n) itself and repeat the head's Proth test
+        import cullen_lehmer.factoring as factoring
+        import cullen_lehmer.primality as primality
+
+        calls = []
+        original = primality.proth_test
+
+        def counted(n1, n2):
+            calls.append((n1, n2))
+            return original(n1, n2)
+
+        monkeypatch.setattr(primality, "proth_test", counted)
+        monkeypatch.setattr(factoring, "proth_test", counted)
+        c = cullen(n)
+        r = lehmer_constrained_factor(n)
+        assert calls.count((c.n1, c.n2)) == 1
+        assert r.verdict == VERDICT_STRUCTURAL and r.structured_divisors == ()
+        assert r.factorization.factors == () and r.factorization.cofactor == cofactor == c.value
+        assert r.witness.kind == "cofactor" and r.witness.cofactor == cofactor
+
     def test_totient_route(self, monkeypatch):
         # no index below 1500 factors entirely into admissible structured
         # primes, so drive the branch with a widened candidate list:

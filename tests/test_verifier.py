@@ -317,9 +317,45 @@ class TestCascade:
         assert cap_stage.data["f19_factor_verified"]
         count_stage = by_name["fermat-prime-count"]
         assert count_stage.data["prime_gammas"] == [0, 1, 2, 3, 4]
+        assert count_stage.data["verified_factors"] == {5: 641, 6: 274177, 19: 70525124609}
         assert count_stage.data["external_table_gammas"] == list(range(7, 19))
 
     def test_branch_counts_stay_below_14(self, cascade):
         by_name = {s.name: s for s in cascade.stages}
         assert by_name["3-divides-n"].data["k_cap_if_3_absent"] == 12 < 14
         assert by_name["n-is-2a3b"].data["k_cap_if_q_present"] == 13 < 14
+
+    def test_report_schema(self, cascade):
+        # stage names and data keys, in order: the body of `bounds` is
+        # these dicts serialized as they stand
+        ln3_recount = ["printed_decimal", "printed_decimal_within_5e-5", "floor", "k_cap"]
+        assert [(s.name, list(s.data)) for s in cascade.stages] == [
+            ("k-crossing", [
+                "k_lower_at_600000", "k_upper_simplified_at_600000",
+                "k_upper_exact_at_600000", "ratio_increasing_beyond",
+                "shape_constant_1/ln2+1/ln3",
+            ]),
+            ("fermat-exponent-cap", [
+                "computed_cap", "cited_cap", "cap_note", "f19_factor", "f19_factor_verified",
+            ]),
+            ("fermat-prime-count", ["prime_gammas", "verified_factors", "external_table_gammas"]),
+            ("k<=17", ["ln(600000)/ln(3)", *ln3_recount]),
+            ("n<122000", ["k_lower_at_122000", "monotone"]),
+            ("k<=15", ["ln(122000)/ln(3)", *ln3_recount]),
+            ("n<93000", ["k_lower_at_93000", "monotone"]),
+            ("3-divides-n", [
+                "ln(93000)/ln(5)", "ln(100000)/ln(5)", "quoted_operand_note",
+                "quoted_decimal_matches_100000", "floors", "k_cap_if_3_absent",
+                "min_distinct_factors", "min_distinct_factors_source",
+            ]),
+            ("n-is-2a3b", [
+                "1+ln(18600)/ln(3)", "printed_decimal", "printed_decimal_within_5e-5",
+                "floor", "fermat_primes_available", "three_divides_cullen_note",
+                "k_cap_if_q_present",
+            ]),
+            ("product-contradiction", [
+                "cap", "partial_product", "partial_product_decimal", "tail_bound",
+                "total_upper_decimal", "below_two", "cited_bound", "exceeds_cited_bound",
+                "cited_bound_note",
+            ]),
+        ]
