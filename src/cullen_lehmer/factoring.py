@@ -13,6 +13,7 @@ a partial result is acceptable.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, prod
 from pathlib import Path
@@ -25,6 +26,7 @@ from .primality import (
     DETERMINISTIC_LIMIT,
     PRIME,
     PROBABLE_PRIME,
+    SMALL_PRIMES,
     StructuredPrime,
     _sieve,
     is_prime,
@@ -249,50 +251,70 @@ class LehmerSearchResult:
     factorization: Factorization  # search state; complete iff the cofactor reached 1
 
 
-def _candidate_forms(c: CullenNumber) -> list[tuple[int, int, int]]:
-    """(value, m, e) for every m*2^e + 1 with m | n odd and e <= n2,
-    ascending by value, except C(n) = n1*2^n2 + 1 itself, which the Proth
-    head has already decided.  This list provably contains every prime
-    proper divisor p of C(n) with p-1 | C(n)-1; primality is only checked
-    for the few forms that actually divide C(n)."""
-    forms = [
-        ((m << e) + 1, m, e)
-        for m in odd_divisors(c.n)
-        for e in range(1, c.n2 + 1)
-        if (m, e) != (c.n1, c.n2)
-    ]
-    forms.sort()
-    return forms
+def _candidate_forms(c: CullenNumber) -> Iterator[tuple[int, int, int]]:
+    """(value, m, e) for every m*2^e + 1 with m | n odd and e <= n2, except
+    C(n) = n1*2^n2 + 1 itself.  This set provably contains every prime
+    proper divisor p of C(n) with p-1 | C(n)-1.  The forms are generated
+    lazily and unordered: their values run to n bits each, so the whole
+    list would hold about d(n)*n^2/2 bits."""
+    for m in odd_divisors(c.n):
+        for e in range(1, c.n2 + 1):
+            if (m, e) != (c.n1, c.n2):
+                yield (m << e) + 1, m, e
+
+
+def _divides_cullen(n: int, m: int, e: int) -> bool:
+    """Whether p = m*2^e + 1 divides C(n) = n*2^n + 1, without reducing the
+    n-bit C(n).  With n = q*e + r, 2^e = -1/m (mod p) gives
+    m^q * C(n) = n*(-1)^q*2^r + m^q (mod p), and gcd(m, p) = 1."""
+    p = (m << e) + 1
+    q, r = divmod(n, e)
+    t = n << r
+    if q & 1:
+        t = -t
+    return (t + pow(m, q, p)) % p == 0
+
+
+def _structured_hits(c: CullenNumber) -> list[tuple[int, int, int]]:
+    """The candidate forms that divide C(n), ascending by value; primality
+    is checked later, and only for these."""
+    return sorted(
+        (v, m, e) for v, m, e in _candidate_forms(c) if _divides_cullen(c.n, m, e)
+    )
 
 
 def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     """Decide how C(n) escapes the property "composite with phi | value-1".
 
-    Order of play: a Proth certificate first (prime is one legal outcome);
-    otherwise every structured candidate is divided out of C(n).  Any prime
-    whose predecessor divides C(n)-1 is among the candidates, so the three
-    remaining outcomes are exhaustive: a repeated candidate (not squarefree),
-    a leftover cofactor (some factor has the wrong shape), or a full
+    Every structured candidate that divides C(n) is found first.  Such a
+    divisor, or a prime of SMALL_PRIMES below C(n) that divides it, proves
+    C(n) composite; without either, a Proth certificate decides it (prime
+    is one legal outcome).  Any prime whose predecessor divides C(n)-1 is
+    among the candidates, so for a composite C(n) the three remaining
+    outcomes are exhaustive: a repeated candidate (not squarefree), a
+    leftover cofactor (some factor has the wrong shape), or a full
     structured factorization whose totient fails the divisibility.  A fourth
     outcome would be a counterexample to the verified theorem and raises.
     """
     c = cullen(n)
-    head = proth_test(c.n1, c.n2)
-    if head.status == PRIME:
-        fact = Factorization(c.value, ((c.value, 1),), COMPLETE)
-        witness = RefutationWitness(
-            kind="proth_certificate",
-            detail=f"C({n}) is prime (Proth base {head.witness})",
-            proth_base=head.witness,
-        )
-        return LehmerSearchResult(n, (), VERDICT_PRIME, witness, fact)
-    if head.status != COMPOSITE:
-        raise BudgetError(f"could not certify C({n}) prime or composite")
+    hits = _structured_hits(c)
+    if not hits and not any(c.value % p == 0 for p in SMALL_PRIMES if p < c.value):
+        head = proth_test(c.n1, c.n2)
+        if head.status == PRIME:
+            fact = Factorization(c.value, ((c.value, 1),), COMPLETE)
+            witness = RefutationWitness(
+                kind="proth_certificate",
+                detail=f"C({n}) is prime (Proth base {head.witness})",
+                proth_base=head.witness,
+            )
+            return LehmerSearchResult(n, (), VERDICT_PRIME, witness, fact)
+        if head.status != COMPOSITE:
+            raise BudgetError(f"could not certify C({n}) prime or composite")
 
     remaining = c.value
     divisors: list[StructuredPrime] = []
     factors: list[tuple[int, int]] = []
-    for value, m, e in _candidate_forms(c):
+    for value, m, e in hits:
         if remaining == 1:
             break
         if remaining % value:
@@ -352,9 +374,9 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
 
 def _cofactor_witness(c: CullenNumber, cofactor: int) -> RefutationWitness:
     """Explain why the leftover cofactor certifies refutation: no prime
-    inside it can have predecessor dividing C(n)-1."""
-    verdict = is_prime(cofactor)
-    if verdict.probably_prime:
+    inside it can have predecessor dividing C(n)-1.  A cofactor equal to
+    C(n) is already proven composite by the search, so it is not retested."""
+    if cofactor < c.value and is_prime(cofactor).probably_prime:
         m = (cofactor - 1) >> v2(cofactor - 1)
         e = v2(cofactor - 1)
         reasons = []

@@ -91,12 +91,16 @@ def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=8)
 def is_prime(N: int) -> PrimalityVerdict:
     """Primality verdict for N >= 0.
 
     Deterministic below DETERMINISTIC_LIMIT via the fixed witness set;
     above it, a probabilistic test over the first DEFAULT_ROUNDS prime bases
     (fixed, so identical runs reproduce) reporting probable_prime at best.
+    The last few verdicts are kept, so a row that tests its leftover
+    cofactor in the structured search and again in the general engine pays
+    for one exponentiation.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -125,13 +129,32 @@ def is_prime(N: int) -> PrimalityVerdict:
     return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity: for a
+    small a and a huge n the only multi-word step is the first n mod a."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def proth_test(n1: int, n2: int) -> PrimalityVerdict:
     """Certificate test for N = n1*2^n2 + 1 with n1 odd and n1 < 2^n2.
 
-    A base a with a^((N-1)/2) = -1 (mod N) proves N prime; a base with
-    a^((N-1)/2) not +-1 (mod N) proves N composite, since squaring then
-    violates Fermat or exhibits a nontrivial square root of 1.  Bases run
-    over the first PROTH_BASE_CAP primes; if all of them land on +1 the
+    A base a with a^((N-1)/2) = -1 (mod N) proves N prime.  Only bases with
+    Jacobi symbol (a/N) = -1 are exponentiated: for a prime N, Euler's
+    criterion gives +1 for the others, so the first base with (a/N) = -1 is
+    the certificate, and for it any result other than -1 proves N
+    composite; so does (a/N) = 0, since then a divides N.  Bases run over
+    the first PROTH_BASE_CAP primes; if none of them has (a/N) = -1 the
     verdict falls back to is_prime (probable at best for huge N).
     """
     if n1 < 1 or n1 % 2 == 0:
@@ -145,11 +168,13 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
     for a in SMALL_PRIMES[:PROTH_BASE_CAP]:
         if a % N == 0:  # only possible for tiny N
             continue
-        x = pow(a, half, N)
-        if x == N - 1:
-            return PrimalityVerdict(N, PRIME, "proth", witness=a)
-        if x != 1:
+        symbol = _jacobi(a, N)
+        if symbol == 1:
+            continue
+        if symbol == 0:  # a < N shares the prime a with N
             return PrimalityVerdict(N, COMPOSITE, "proth", witness=a)
+        status = PRIME if pow(a, half, N) == N - 1 else COMPOSITE
+        return PrimalityVerdict(N, status, "proth", witness=a)
     return is_prime(N)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -249,6 +250,22 @@ class TestDeterminism:
             check = run_cli("check", n, "--cache", tmp_path / f"c{n}.txt")[1]
             scan = run_cli("scan", n, n, "--cache", tmp_path / f"s{n}.txt")[1]
             assert body_of(check) == body_of(scan)
+
+
+class TestGoldenBodies:
+    """sha256 of the body (stdout after the header) on a fresh cache, pinned
+    so that a refactor or speed-up of the theorem path must reproduce every
+    row byte for byte."""
+
+    @pytest.mark.parametrize("args, digest", [
+        (("scan", 1, 300), "57298ddbeae9624c9449407ef63c341bfbc43764a8cb0faccf22d461645988e4"),
+        (("check", 53), "f7033d059eb442f50365a8efc4a495a7b00004f8eefa59b6ab56fe044f338d60"),
+        (("check", 141), "f4abe43feeaadbde15d262885179e1ac2cbd1c72cce580940eefae8402779733"),
+    ])
+    def test_body_digest(self, args, digest, tmp_path):
+        code, out, _ = run_cli(*args, "--budget", 0, "--cache", tmp_path / "c.txt")
+        assert code == EXIT_OK
+        assert hashlib.sha256(body_of(out).encode()).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -1,6 +1,8 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cullen_lehmer import (
     FactorBudget,
@@ -165,30 +167,71 @@ class TestLehmerConstrainedFactor:
         for n in range(1, 61):
             assert lehmer_constrained_factor(n).verdict in ALL_VERDICTS
 
-    @pytest.mark.parametrize("n, cofactor", [
-        (5, 161), (9, 4609), (11, 22529), (34, 584115552257),
-    ])
-    def test_cullen_value_proth_tested_once(self, n, cofactor, monkeypatch):
-        # no structured prime divides these C(n), so the candidate loop used
-        # to reach C(n) itself and repeat the head's Proth test
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Arguments of every proth_test and is_prime call, in order."""
         import cullen_lehmer.factoring as factoring
         import cullen_lehmer.primality as primality
 
-        calls = []
-        original = primality.proth_test
+        seen = {"proth_test": [], "is_prime": []}
+        for name, log in seen.items():
+            original = getattr(primality, name)
 
-        def counted(n1, n2):
-            calls.append((n1, n2))
-            return original(n1, n2)
+            def counted(*args, _original=original, _log=log):
+                _log.append(args)
+                return _original(*args)
 
-        monkeypatch.setattr(primality, "proth_test", counted)
-        monkeypatch.setattr(factoring, "proth_test", counted)
+            monkeypatch.setattr(primality, name, counted)
+            monkeypatch.setattr(factoring, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("n, proth_calls", [
+        (5, 0), (9, 0), (11, 0), (34, 0),  # smallest factors 7, 11, 13, 19
+        (53, 1), (233, 1),  # no prime factor below 2000, no structured divisor
+    ])
+    def test_cullen_value_proth_calls(self, n, proth_calls, calls):
+        # a small prime factor proves C(n) composite without Proth; neither
+        # route tests C(n) with is_prime
         c = cullen(n)
         r = lehmer_constrained_factor(n)
-        assert calls.count((c.n1, c.n2)) == 1
+        assert calls["proth_test"].count((c.n1, c.n2)) == proth_calls
+        assert (c.value,) not in calls["is_prime"]
         assert r.verdict == VERDICT_STRUCTURAL and r.structured_divisors == ()
-        assert r.factorization.factors == () and r.factorization.cofactor == cofactor == c.value
+        cofactor = n * 2**n + 1
+        assert r.factorization.factors == () and r.factorization.cofactor == cofactor
         assert r.witness.kind == "cofactor" and r.witness.cofactor == cofactor
+        assert r.witness.detail.startswith(f"cofactor {cofactor} > 1 remains")
+
+    def test_prime_cullen_value_one_proth_call(self, calls):
+        c = cullen(141)
+        r = lehmer_constrained_factor(141)
+        assert calls["proth_test"].count((c.n1, c.n2)) == 1
+        assert (c.value,) not in calls["is_prime"]
+        assert r.verdict == VERDICT_PRIME and r.witness.proth_base == 5
+        assert r.factorization.factors == ((c.value, 1),)
+
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=49),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_free_divisibility(self, n, half_m, data):
+        # m need not divide n: the identity holds for any m, and the
+        # totient-route test feeds such forms in
+        from cullen_lehmer.factoring import _divides_cullen
+
+        m = 2 * half_m + 1
+        e = data.draw(st.integers(min_value=1, max_value=cullen(n).n2 + 3))
+        assert _divides_cullen(n, m, e) == (cullen(n).value % (m * 2**e + 1) == 0)
+
+    def test_hits_equal_plain_filter(self):
+        from cullen_lehmer.factoring import _candidate_forms, _structured_hits
+
+        for n in range(1, 401):
+            c = cullen(n)
+            plain = sorted(f for f in _candidate_forms(c) if c.value % f[0] == 0)
+            assert _structured_hits(c) == plain, n
 
     def test_totient_route(self, monkeypatch):
         # no index below 1500 factors entirely into admissible structured

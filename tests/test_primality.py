@@ -12,7 +12,7 @@ from cullen_lehmer import (
     is_prime,
     proth_test,
 )
-from cullen_lehmer.primality import DETERMINISTIC_LIMIT
+from cullen_lehmer.primality import DETERMINISTIC_LIMIT, PROTH_BASE_CAP, SMALL_PRIMES
 
 
 def sieve_flags(limit):
@@ -72,7 +72,7 @@ class TestProth:
     def test_cullen_141_certificate(self):
         c = cullen(141)
         v = proth_test(c.n1, c.n2)
-        assert v.is_prime and v.method == "proth"
+        assert v.is_prime and v.method == "proth" and v.witness == 5
         # the certificate is checkable directly
         assert pow(v.witness, (c.value - 1) // 2, c.value) == c.value - 1
 
@@ -85,7 +85,10 @@ class TestProth:
             proth_test(3, 0)
 
     def test_agrees_with_is_prime_exhaustively(self):
-        # every N = n1*2^n2 + 1 <= 10^7 with n1 odd, n1 < 2^n2
+        # every N = n1*2^n2 + 1 <= 10^7 with n1 odd, n1 < 2^n2; on primes
+        # the certificate base is the one that exponentiating every base in
+        # turn finds first, although bases with (a/N) = +1 are now skipped
+        bases = SMALL_PRIMES[:PROTH_BASE_CAP]
         limit = 10**7
         checked = 0
         n2 = 1
@@ -93,7 +96,11 @@ class TestProth:
             max_n1 = min((1 << n2) - 1, (limit - 1) >> n2)
             for n1 in range(1, max_n1 + 1, 2):
                 N = (n1 << n2) + 1
-                assert proth_test(n1, n2).is_prime == is_prime(N).is_prime, N
+                v = proth_test(n1, n2)
+                assert v.is_prime == is_prime(N).is_prime, N
+                if v.is_prime:
+                    first = next(a for a in bases if pow(a, (N - 1) // 2, N) == N - 1)
+                    assert v.witness == first, N
                 checked += 1
             n2 += 1
         assert checked > 4000
