@@ -208,7 +208,9 @@ def _extend_factorization(
     fact = result.factorization
     if fact.is_complete:
         return fact
-    sub = general_factor(fact.cofactor, budget, counter)
+    c = cullen(result.n)
+    sub = general_factor(fact.cofactor, budget, counter, within=(c.n1, c.n2),
+                         verdict=result.cofactor_verdict)
     merged: dict[int, int] = dict(fact.factors)
     for p, k in sub.factors:
         merged[p] = merged.get(p, 0) + k
@@ -235,7 +237,7 @@ def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
         for n in ns:
             yield stored(_compute(n, budget, cache.get(n)))
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_digit_limit) as pool:
         futures = [pool.submit(_compute, n, budget, cache.get(n)) for n in ns]
         for future in futures:  # submission order is ascending n
             yield stored(future.result())
@@ -424,7 +426,8 @@ def _cmd_factor(args, out) -> int:
     fact = cache.get(args.n)
     from_cache = fact is not None
     if not from_cache:
-        fact = general_factor(cullen(args.n).value, budget, counter)
+        c = cullen(args.n)
+        fact = general_factor(c.value, budget, counter, within=(c.n1, c.n2))
         if fact.is_complete:
             cache.put(args.n, fact)
     emitter.row(_columns(args.n, fact, from_cache, counter))
@@ -443,8 +446,19 @@ COMMANDS = {
 }
 
 
+def _lift_int_digit_limit() -> None:
+    """Let int and str convert into each other at any length.  Rows and
+    cache lines hold C(n)'s factors and cofactor in decimal, and CPython
+    (3.11, and 3.10 from 3.10.7) refuses more than 4300 digits by default,
+    which C(n) passes at about n = 14,270.  A spawned worker process does
+    not inherit the setting, so the pool runs this as its initializer."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
+    _lift_int_digit_limit()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -27,7 +27,10 @@ from .primality import (
     PRIME,
     PROBABLE_PRIME,
     SMALL_PRIMES,
+    SPECIAL_FORM_BITS,
+    PrimalityVerdict,
     StructuredPrime,
+    _screen_prime,
     _sieve,
     is_prime,
     proth_test,
@@ -163,13 +166,23 @@ def general_factor(
     N: int,
     budget: FactorBudget = DEFAULT_BUDGET,
     counter: WorkCounter | None = None,
+    *,
+    within: tuple[int, int] | None = None,
+    verdict: PrimalityVerdict | None = None,
 ) -> Factorization:
     """Trial division up to budget.trial_bound, then Pollard rho rounds
     until budget.rho_iterations is spent.  Deterministic given (N, budget):
     rho uses x0 = 2 and the polynomial constants c = 1, 2, 3, ... in order.
+
+    within = (k, s), when N divides k*2^s + 1, is passed to every is_prime
+    call, since each value tested divides N.  verdict, a primality verdict
+    on N already computed by the caller, stands in for testing N again when
+    trial division leaves N unchanged.
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
+    if verdict is not None and verdict.value != N:
+        raise ValueError("verdict is not about N")
     if counter is None:
         counter = WorkCounter()
     found: dict[int, int] = {}
@@ -185,19 +198,19 @@ def general_factor(
             found[p] = found.get(p, 0) + 1
             m //= p
 
-    def settle(x: int) -> None:
+    def settle(x: int, known: PrimalityVerdict | None = None) -> None:
         """Classify x as prime (record) or composite (queue for rho)."""
-        verdict = is_prime(x)
-        if verdict.probably_prime:
+        x_verdict = known or is_prime(x, within=within)
+        if x_verdict.probably_prime:
             found[x] = found.get(x, 0) + 1
-            if verdict.status == PROBABLE_PRIME:
+            if x_verdict.status == PROBABLE_PRIME:
                 probable.add(x)
         else:
             stack.append(x)
 
     stack: list[int] = []
     if m > 1:
-        settle(m)
+        settle(m, verdict if m == N else None)
     while stack:
         comp = stack.pop()
         if counter.rho_iterations >= budget.rho_iterations:
@@ -249,6 +262,9 @@ class LehmerSearchResult:
     verdict: str
     witness: RefutationWitness
     factorization: Factorization  # search state; complete iff the cofactor reached 1
+    # primality of factorization.cofactor when the search decided it (a
+    # cofactor equal to C(n) is composite), for general_factor to reuse
+    cofactor_verdict: PrimalityVerdict | None = None
 
 
 def _candidate_forms(c: CullenNumber) -> Iterator[tuple[int, int, int]]:
@@ -283,33 +299,47 @@ def _structured_hits(c: CullenNumber) -> list[tuple[int, int, int]]:
     )
 
 
+def _cullen_verdict(c: CullenNumber, hits: list[tuple[int, int, int]]) -> PrimalityVerdict:
+    """Primality of C(n), from the cheapest evidence first: a structured
+    hit, a prime of SMALL_PRIMES below C(n), from SPECIAL_FORM_BITS on a
+    prime below 10^5 (one gcd), and only then the Proth test."""
+    if hits:
+        return PrimalityVerdict(c.value, COMPOSITE, "trial", factor=hits[0][0])
+    p = next((p for p in SMALL_PRIMES if p < c.value and c.value % p == 0), None)
+    if p is None and c.value.bit_length() >= SPECIAL_FORM_BITS:
+        p = _screen_prime(c.value)
+    if p is not None:
+        return PrimalityVerdict(c.value, COMPOSITE, "trial", factor=p)
+    return proth_test(c.n1, c.n2)
+
+
 def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     """Decide how C(n) escapes the property "composite with phi | value-1".
 
     Every structured candidate that divides C(n) is found first.  Such a
-    divisor, or a prime of SMALL_PRIMES below C(n) that divides it, proves
-    C(n) composite; without either, a Proth certificate decides it (prime
-    is one legal outcome).  Any prime whose predecessor divides C(n)-1 is
-    among the candidates, so for a composite C(n) the three remaining
-    outcomes are exhaustive: a repeated candidate (not squarefree), a
-    leftover cofactor (some factor has the wrong shape), or a full
-    structured factorization whose totient fails the divisibility.  A fourth
-    outcome would be a counterexample to the verified theorem and raises.
+    divisor, or a prime below 10^5 that divides C(n) (below 2000 for
+    C(n) under SPECIAL_FORM_BITS), proves C(n) composite; without either, a
+    Proth certificate decides it (prime is one legal outcome).  Any prime
+    whose predecessor divides C(n)-1 is among the candidates, so for a
+    composite C(n) the three remaining outcomes are exhaustive: a repeated
+    candidate (not squarefree), a leftover cofactor (some factor has the
+    wrong shape), or a full structured factorization whose totient fails
+    the divisibility.  A fourth outcome would be a counterexample to the
+    verified theorem and raises.
     """
     c = cullen(n)
     hits = _structured_hits(c)
-    if not hits and not any(c.value % p == 0 for p in SMALL_PRIMES if p < c.value):
-        head = proth_test(c.n1, c.n2)
-        if head.status == PRIME:
-            fact = Factorization(c.value, ((c.value, 1),), COMPLETE)
-            witness = RefutationWitness(
-                kind="proth_certificate",
-                detail=f"C({n}) is prime (Proth base {head.witness})",
-                proth_base=head.witness,
-            )
-            return LehmerSearchResult(n, (), VERDICT_PRIME, witness, fact)
-        if head.status != COMPOSITE:
-            raise BudgetError(f"could not certify C({n}) prime or composite")
+    head = _cullen_verdict(c, hits)
+    if head.status == PRIME:
+        fact = Factorization(c.value, ((c.value, 1),), COMPLETE)
+        witness = RefutationWitness(
+            kind="proth_certificate",
+            detail=f"C({n}) is prime (Proth base {head.witness})",
+            proth_base=head.witness,
+        )
+        return LehmerSearchResult(n, (), VERDICT_PRIME, witness, fact)
+    if head.status != COMPOSITE:
+        raise BudgetError(f"could not certify C({n}) prime or composite")
 
     remaining = c.value
     divisors: list[StructuredPrime] = []
@@ -350,8 +380,12 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
         cofactor=remaining,
     )
     if remaining > 1:
-        witness = _cofactor_witness(c, remaining)
-        return LehmerSearchResult(n, tuple(divisors), VERDICT_STRUCTURAL, witness, fact)
+        # a cofactor equal to C(n) is proven composite by head already
+        verdict = head if remaining == c.value else is_prime(remaining, within=(c.n1, c.n2))
+        witness = _cofactor_witness(c, remaining, verdict)
+        return LehmerSearchResult(
+            n, tuple(divisors), VERDICT_STRUCTURAL, witness, fact, verdict
+        )
 
     phi = prod(sp.value - 1 for sp in divisors)
     if (c.value - 1) % phi:
@@ -372,11 +406,13 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     )
 
 
-def _cofactor_witness(c: CullenNumber, cofactor: int) -> RefutationWitness:
-    """Explain why the leftover cofactor certifies refutation: no prime
-    inside it can have predecessor dividing C(n)-1.  A cofactor equal to
-    C(n) is already proven composite by the search, so it is not retested."""
-    if cofactor < c.value and is_prime(cofactor).probably_prime:
+def _cofactor_witness(
+    c: CullenNumber, cofactor: int, verdict: PrimalityVerdict
+) -> RefutationWitness:
+    """Explain, from its primality verdict, why the leftover cofactor
+    certifies refutation: no prime inside it can have predecessor dividing
+    C(n)-1."""
+    if verdict.probably_prime:
         m = (cofactor - 1) >> v2(cofactor - 1)
         e = v2(cofactor - 1)
         reasons = []
@@ -480,22 +516,35 @@ class FactorCache:
         parts = text.split("\t")
         if len(parts) != 4:
             raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
+        if len(parts[0]) > 8:
+            raise ValueError("index out of the cacheable range")
         n = int(parts[0])
         if not 1 <= n <= 10_000_000:  # building C(n) for a corrupt index would hang
             raise ValueError(f"index {n} out of the cacheable range")
+        c = cullen(n)
+        # no number field of a valid line is longer than C(n) in decimal; a
+        # longer one is rejected before int(), whose cost is quadratic in it
+        digits = c.value.bit_length() * 30103 // 100_000 + 1  # log10(2) < 0.30103
+        fields = parts[2].replace("^", " ").split() + [parts[3]]
+        if max(map(len, fields)) > digits:
+            raise ValueError(f"a number field is longer than C({n}), {digits} digits")
         status = parts[1]
         cofactor = int(parts[3])
         factors = []
         for tok in parts[2].split():
             base, _, exp = tok.partition("^")
             factors.append((int(base), int(exp) if exp else 1))
+        # p^k | C(n) bounds k by the bit lengths; an unbounded exponent
+        # would make p**k below exhaust memory
+        if any(k < 1 or (p.bit_length() - 1) * k >= c.value.bit_length() for p, k in factors):
+            raise ValueError(f"an exponent is out of range for C({n})")
         value = cofactor * prod(p**k for p, k in factors)
         # the line format has no probable column; the flag is recomputable
         # since a factor's verdict is probable exactly beyond the
         # deterministic threshold
         probable = tuple(p for p, _ in factors if p >= DETERMINISTIC_LIMIT)
         fact = Factorization(value, tuple(factors), status, cofactor, probable)
-        if fact.value != cullen(n).value:
+        if fact.value != c.value:
             raise ValueError(f"line does not reproduce C({n})")
         # certify only below the limit, where it is cheap: a prime row caches
         # C(n) itself, thousands of bits, and every command reloads the cache

@@ -5,12 +5,18 @@ Miller-Rabin witness set decides everything below DETERMINISTIC_LIMIT
 (comfortably above 2^64), and Proth certificates decide the k*2^e + 1 forms
 of any size.  Only the general probabilistic fallback can return
 "probable_prime", and nothing in the theorem pipeline depends on it.
+
+From SPECIAL_FORM_BITS on, exponentiations modulo a divisor of some
+k*2^s + 1 with small k (a Cullen number and its cofactors) reduce modulo
+that special form instead of dividing, and values are screened by the
+primes below 10^5 with one gcd before any exponentiation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
 
 from .cullen import odd_divisors
 from .errors import BudgetError
@@ -28,6 +34,13 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 DEFAULT_ROUNDS = 64
 PROTH_BASE_CAP = 64
 
+# Bit length of the modulus from which the special-form reduction beats the
+# builtin pow on a Proth exponentiation (0.88x at 409 bits, 1.05x at 509,
+# 1.2x at 610, 1.6x at 1010, 4.5x at 5013; 2 vCPUs, CPython 3.11.7, no
+# gmpy2), and from which one gcd with the primes below 10^5 screens a value
+# before any exponentiation.
+SPECIAL_FORM_BITS = 600
+
 
 @lru_cache(maxsize=4)
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -41,6 +54,51 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 SMALL_PRIMES = _sieve(2000)  # 303 primes; also the base pool for fallbacks
+
+
+@lru_cache(maxsize=1)
+def _screen_product() -> int:
+    """Product of the primes in (2000, 10^5), 141 kbit, built on first use."""
+    return prod(p for p in _sieve(100_000) if p > SMALL_PRIMES[-1])
+
+
+def _screen_prime(N: int) -> int | None:
+    """The least prime in (2000, 10^5) dividing N, or None.
+
+    One gcd with _screen_product costs about 0.3 ms at 600 bits and 2 ms at
+    7000 bits; the least prime is then looked for in the gcd alone."""
+    g = gcd(N, _screen_product())
+    if g == 1:
+        return None
+    return next(p for p in _sieve(100_000) if p > SMALL_PRIMES[-1] and g % p == 0)
+
+
+def _proth_pow(a: int, e: int, k: int, s: int) -> int:
+    """a^e mod M for M = k*2^s + 1 (k, s >= 1, e >= 0), with no division by M.
+
+    A product x <= (M-1)^2 splits as x = h*2^s + l with l < 2^s and
+    h = q*k + t with t < k.  Since k*2^s = -1 (mod M), x = t*2^s + l - q
+    (mod M), and that residue lies in [-(M-1), M-2] because q <= M-1, so
+    one addition of M corrects a negative one.  Each step costs a product
+    and a division by the small k; the builtin pow divides by M instead.
+    This is the special-form reduction of Crandall & Pomerance, Prime
+    Numbers: A Computational Perspective, section 9.2.3.
+    """
+    M = (k << s) + 1
+    mask = (1 << s) - 1
+
+    def reduce(x: int) -> int:
+        q, t = divmod(x >> s, k)
+        r = (x & mask) + (t << s) - q
+        return r + M if r < 0 else r
+
+    a %= M
+    x = 1
+    for bit in bin(e)[2:]:
+        x = reduce(x * x)
+        if bit == "1":
+            x = reduce(x * a)
+    return x
 
 
 @dataclass(frozen=True)
@@ -79,31 +137,49 @@ class PrimalityVerdict:
         return self.status in (PRIME, PROBABLE_PRIME)
 
 
-def _mr_composite_witness(a: int, d: int, s: int, n: int) -> bool:
-    """True when base a proves n composite (n odd, n-1 = d*2^s, d odd)."""
-    x = pow(a, d, n)
+def _mr_composite_witness(
+    a: int, d: int, s: int, n: int, within: tuple[int, int] | None = None
+) -> bool:
+    """True when base a proves n composite (n odd, n-1 = d*2^s, d odd).
+
+    With within = (k, t), n divides M = k*2^t + 1 and every power is taken
+    modulo M by _proth_pow, then reduced modulo n for the comparisons with
+    1 and n-1; the squarings stay correct modulo n since n divides M."""
+    def power(x: int, e: int) -> int:
+        return pow(x, e, n) if within is None else _proth_pow(x, e, *within) % n
+
+    x = power(a, d)
     if x == 1 or x == n - 1:
         return False
     for _ in range(s - 1):
-        x = x * x % n
+        x = power(x, 2)
         if x == n - 1:
             return False
     return True
 
 
-@lru_cache(maxsize=8)
-def is_prime(N: int) -> PrimalityVerdict:
+def is_prime(N: int, *, within: tuple[int, int] | None = None) -> PrimalityVerdict:
     """Primality verdict for N >= 0.
 
     Deterministic below DETERMINISTIC_LIMIT via the fixed witness set;
     above it, a probabilistic test over the first DEFAULT_ROUNDS prime bases
     (fixed, so identical runs reproduce) reporting probable_prime at best.
-    The last few verdicts are kept, so a row that tests its leftover
-    cofactor in the structured search and again in the general engine pays
-    for one exponentiation.
+    From SPECIAL_FORM_BITS on, the primes below 10^5 are screened by one
+    gcd first; a hit is a "trial" verdict with that prime as the factor.
+
+    within = (k, s) states that N divides M = k*2^s + 1, and a ValueError
+    is raised when it does not.  It changes no verdict, only the cost: from
+    SPECIAL_FORM_BITS on, Miller-Rabin exponentiates modulo M in special
+    form, unless M has twice N's bits or more, where pow modulo N is the
+    cheaper of the two.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
+    if within is not None:
+        k, t = within
+        M = (k << t) + 1
+        if k < 1 or t < 1 or N == 0 or M % N:
+            raise ValueError(f"N ({N.bit_length()} bits) does not divide {k}*2^{t}+1")
     if N < 2:
         return PrimalityVerdict(N, NOT_PRIME, "trial")
     for p in SMALL_PRIMES:
@@ -113,6 +189,13 @@ def is_prime(N: int) -> PrimalityVerdict:
             return PrimalityVerdict(N, COMPOSITE, "trial", factor=p)
     if N < SMALL_PRIMES[-1] ** 2:
         return PrimalityVerdict(N, PRIME, "trial")
+    bits = N.bit_length()
+    if bits >= SPECIAL_FORM_BITS:
+        p = _screen_prime(N)
+        if p is not None:
+            return PrimalityVerdict(N, COMPOSITE, "trial", factor=p)
+    if within is not None and (bits < SPECIAL_FORM_BITS or 2 * bits <= M.bit_length()):
+        within = None
 
     d, s = N - 1, 0
     while d % 2 == 0:
@@ -124,7 +207,7 @@ def is_prime(N: int) -> PrimalityVerdict:
                 return PrimalityVerdict(N, COMPOSITE, "deterministic-mr", witness=a)
         return PrimalityVerdict(N, PRIME, "deterministic-mr")
     for a in SMALL_PRIMES[:DEFAULT_ROUNDS]:
-        if _mr_composite_witness(a, d, s, N):
+        if _mr_composite_witness(a, d, s, N, within):
             return PrimalityVerdict(N, COMPOSITE, "probabilistic-mr", witness=a)
     return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
 
@@ -155,7 +238,8 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
     the certificate, and for it any result other than -1 proves N
     composite; so does (a/N) = 0, since then a divides N.  Bases run over
     the first PROTH_BASE_CAP primes; if none of them has (a/N) = -1 the
-    verdict falls back to is_prime (probable at best for huge N).
+    verdict falls back to is_prime (probable at best for huge N).  From
+    SPECIAL_FORM_BITS on, the power is taken by _proth_pow.
     """
     if n1 < 1 or n1 % 2 == 0:
         raise ValueError(f"n1 must be odd and positive, got {n1}")
@@ -165,6 +249,7 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
         raise ValueError(f"Proth condition violated: {n1} >= 2^{n2}")
     N = (n1 << n2) + 1
     half = (N - 1) >> 1
+    special = N.bit_length() >= SPECIAL_FORM_BITS
     for a in SMALL_PRIMES[:PROTH_BASE_CAP]:
         if a % N == 0:  # only possible for tiny N
             continue
@@ -173,9 +258,10 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
             continue
         if symbol == 0:  # a < N shares the prime a with N
             return PrimalityVerdict(N, COMPOSITE, "proth", witness=a)
-        status = PRIME if pow(a, half, N) == N - 1 else COMPOSITE
+        x = _proth_pow(a, half, n1, n2) if special else pow(a, half, N)
+        status = PRIME if x == N - 1 else COMPOSITE
         return PrimalityVerdict(N, status, "proth", witness=a)
-    return is_prime(N)
+    return is_prime(N, within=(n1, n2))
 
 
 FERMAT_PRIMES = ((0, 3), (1, 5), (2, 17), (3, 257), (4, 65537))

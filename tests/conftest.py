@@ -31,6 +31,18 @@ def factored_corpus():
     return corpus
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Set CPython's int/str digit limit for one test and restore it after;
+    yields a setter (a no-op where the interpreter has no such limit)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield lambda limit: None
+        return
+    previous = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(previous)
+
+
 def run_cli(*args, env=None):
     """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
     proc = subprocess.run(

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -261,11 +262,90 @@ class TestGoldenBodies:
         (("scan", 1, 300), "57298ddbeae9624c9449407ef63c341bfbc43764a8cb0faccf22d461645988e4"),
         (("check", 53), "f7033d059eb442f50365a8efc4a495a7b00004f8eefa59b6ab56fe044f338d60"),
         (("check", 141), "f4abe43feeaadbde15d262885179e1ac2cbd1c72cce580940eefae8402779733"),
+        # rows above primality.SPECIAL_FORM_BITS, where the special-form
+        # exponentiation and the screen to 10^5 run
+        (("scan", 2000, 2040), "cb3020688e31af0f24fe2c191e0b11fcee8bd49e663e57a22147e2db5efc7378"),
+        (("check", 4494), "5c43acf60beeacfe6fa1c09055b4d08e776eede90f8c48de901b310c06e3a655"),
     ])
     def test_body_digest(self, args, digest, tmp_path):
         code, out, _ = run_cli(*args, "--budget", 0, "--cache", tmp_path / "c.txt")
         assert code == EXIT_OK
         assert hashlib.sha256(body_of(out).encode()).hexdigest() == digest
+
+
+class TestPastTheDigitLimit:
+    def test_check_row_past_the_limit(self, tmp_path, monkeypatch, int_digit_limit):
+        # C(16384) = 2^16398 + 1 has 4937 digits; main() lifts the 4300-digit
+        # limit.  Values past 14,000 bits get a stand-in composite verdict,
+        # so no exponentiation of that size runs.
+        import cullen_lehmer.factoring as factoring
+        import cullen_lehmer.primality as primality
+        from cullen_lehmer.primality import COMPOSITE, PrimalityVerdict
+
+        int_digit_limit(4300)
+        stood_in = []
+        for name in ("is_prime", "proth_test"):
+            real = getattr(primality, name)
+
+            def stand_in(*args, _real=real, **kwargs):
+                value = args[0] if len(args) == 1 else (args[0] << args[1]) + 1
+                if value.bit_length() <= 14_000:
+                    return _real(*args, **kwargs)
+                stood_in.append(value)
+                return PrimalityVerdict(value, COMPOSITE, "trial")
+
+            monkeypatch.setattr(primality, name, stand_in)
+            monkeypatch.setattr(factoring, name, stand_in)
+        out = io.StringIO()
+        code = main(["check", "16384", "--budget", "0", "--cache", str(tmp_path / "c.txt")],
+                    out=out)
+        assert code == EXIT_OK
+        _, rows, _, _ = parse_jsonl(out.getvalue())
+        row = rows[0]
+        value = cullen(16384).value
+        assert row["structured_divisors"] == [5]
+        assert row["witness"].startswith(f"cofactor {value // 5} > 1 remains")
+        # the search's cofactor, then the general engine's leftover
+        assert stood_in == [value // 5, row["cofactor"]]
+        assert len(str(row["cofactor"])) > 4300
+        product = row["cofactor"]
+        for tok in row["factors"].split():
+            p, _, k = tok.partition("^")
+            product *= int(p) ** int(k or 1)
+        assert product == value
+
+    def test_pool_workers_lift_the_limit(self, tmp_path, monkeypatch, int_digit_limit):
+        # a spawned worker does not inherit the setting, so the pool must
+        # run the lift as its initializer; a stand-in pool starts no process
+        from concurrent.futures import Future
+
+        import cullen_lehmer.cli as cli_mod
+        from cullen_lehmer import FactorBudget, FactorCache
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                self.initializer = initializer
+
+            def __enter__(self):
+                self.initializer()
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this interpreter has no int/str digit limit")
+        int_digit_limit(4300)
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+        records = list(cli_mod._compute_rows([5, 6], FactorBudget(rho_iterations=0),
+                                             FactorCache(tmp_path / "c.txt"), 2))
+        assert [r.n for r in records] == [5, 6]
+        assert sys.get_int_max_str_digits() == 0
 
 
 class TestExitCodes:

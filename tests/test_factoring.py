@@ -169,7 +169,7 @@ class TestLehmerConstrainedFactor:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Arguments of every proth_test and is_prime call, in order."""
+        """(args, kwargs) of every proth_test and is_prime call, in order."""
         import cullen_lehmer.factoring as factoring
         import cullen_lehmer.primality as primality
 
@@ -177,9 +177,9 @@ class TestLehmerConstrainedFactor:
         for name, log in seen.items():
             original = getattr(primality, name)
 
-            def counted(*args, _original=original, _log=log):
-                _log.append(args)
-                return _original(*args)
+            def counted(*args, _original=original, _log=log, **kwargs):
+                _log.append((args, kwargs))
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(primality, name, counted)
             monkeypatch.setattr(factoring, name, counted)
@@ -194,19 +194,41 @@ class TestLehmerConstrainedFactor:
         # route tests C(n) with is_prime
         c = cullen(n)
         r = lehmer_constrained_factor(n)
-        assert calls["proth_test"].count((c.n1, c.n2)) == proth_calls
-        assert (c.value,) not in calls["is_prime"]
+        assert [args for args, _ in calls["proth_test"]].count((c.n1, c.n2)) == proth_calls
+        assert c.value not in [args[0] for args, _ in calls["is_prime"]]
         assert r.verdict == VERDICT_STRUCTURAL and r.structured_divisors == ()
         cofactor = n * 2**n + 1
         assert r.factorization.factors == () and r.factorization.cofactor == cofactor
         assert r.witness.kind == "cofactor" and r.witness.cofactor == cofactor
         assert r.witness.detail.startswith(f"cofactor {cofactor} > 1 remains")
 
+    @pytest.mark.parametrize("n, proth_calls, tested", [
+        (5, 0, 1), (9, 0, 1), (11, 0, 1), (34, 0, 1), (53, 1, 1), (141, 1, 0),
+        (233, 1, 0),  # C(233) has no prime factor below 10^4: its verdict is handed over
+        # above SPECIAL_FORM_BITS, no structured hit; the least prime factor
+        # of C(634) is 2459 and of C(870) 39869, beyond trial division's 10^4
+        (634, 0, 1), (870, 0, 0),
+        (609, 1, 0),  # no prime factor below 10^5
+    ])
+    def test_row_exponentiations(self, n, proth_calls, tested, calls):
+        # the whole row at --budget 0: search, then the general engine on
+        # the cofactor with the search's verdict handed over
+        from cullen_lehmer.cli import _compute
+
+        c = cullen(n)
+        _compute(n, FactorBudget(rho_iterations=0), None)
+        assert [args for args, _ in calls["proth_test"]].count((c.n1, c.n2)) == proth_calls
+        values = [args[0] for args, _ in calls["is_prime"]]
+        assert c.value not in values
+        assert len(values) == len(set(values)) == tested
+        # each value tested divides C(n) and says so
+        assert all(kwargs == {"within": (c.n1, c.n2)} for _, kwargs in calls["is_prime"])
+
     def test_prime_cullen_value_one_proth_call(self, calls):
         c = cullen(141)
         r = lehmer_constrained_factor(141)
-        assert calls["proth_test"].count((c.n1, c.n2)) == 1
-        assert (c.value,) not in calls["is_prime"]
+        assert [args for args, _ in calls["proth_test"]].count((c.n1, c.n2)) == 1
+        assert c.value not in [args[0] for args, _ in calls["is_prime"]]
         assert r.verdict == VERDICT_PRIME and r.witness.proth_base == 5
         assert r.factorization.factors == ((c.value, 1),)
 
@@ -315,3 +337,55 @@ class TestFactorCache:
         assert cache.get(6).summary() == "5 7 11"
         assert cache.get(11).factors == ((13, 1), (1733, 1))
         assert len(cache) == 2
+
+
+class TestPastTheDigitLimit:
+    """C(n) past about 14,300 bits has more than CPython's default 4300
+    decimal digits; rows and cache lines hold such numbers in decimal.
+    Nothing here exponentiates an n-bit number."""
+
+    N = 14986  # C(14986) has 15,000 bits, 4516 digits
+
+    def split(self):
+        value = cullen(self.N).value
+        p = next(p for p in range(3, 2000, 2) if value % p == 0)
+        return Factorization(value, ((p, 1),), PARTIAL, cofactor=value // p)
+
+    def test_cache_round_trip(self, tmp_path, int_digit_limit):
+        int_digit_limit(0)
+        f = self.split()
+        path = tmp_path / "cache.txt"
+        FactorCache(path).put(self.N, f)
+        assert len(path.read_text(encoding="utf-8")) > 4300
+        again = FactorCache(path)
+        assert again.skipped_lines == 0 and again.get(self.N) == f
+
+    def test_cofactor_witness(self, int_digit_limit):
+        from cullen_lehmer.factoring import _cofactor_witness
+        from cullen_lehmer.primality import COMPOSITE, PrimalityVerdict
+
+        int_digit_limit(0)
+        cofactor = self.split().cofactor
+        verdict = PrimalityVerdict(cofactor, COMPOSITE, "trial")
+        w = _cofactor_witness(cullen(self.N), cofactor, verdict)
+        assert w.cofactor == cofactor
+        assert w.detail.startswith(f"cofactor {cofactor} > 1 remains")
+
+    def test_oversized_fields_skipped_unparsed(self, tmp_path, caplog, int_digit_limit):
+        int_digit_limit(0)
+        digits = len(str(cullen(self.N).value))
+        path = tmp_path / "cache.txt"
+        path.write_text(
+            f"{self.N}\tpartial\t3\t{'9' * (digits + 2)}\n"   # cofactor too long
+            f"{self.N}\tpartial\t{'7' * (digits + 2)}\t3\n"   # factor too long
+            f"{self.N}\tcomplete\t3^{'1' * 9}\t1\n"           # 3^111111111 > C(n)
+            "123456789\tcomplete\t3\t1\n",                      # index too long
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING):
+            cache = FactorCache(path)
+        assert cache.skipped_lines == 4 and len(cache) == 0
+        reasons = [rec.getMessage() for rec in caplog.records]
+        assert sum(f"longer than C({self.N})" in r for r in reasons) == 2
+        assert sum("exponent is out of range" in r for r in reasons) == 1
+        assert sum("cacheable range" in r for r in reasons) == 1

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cullen_lehmer import (
     COMPOSITE,
@@ -10,9 +12,20 @@ from cullen_lehmer import (
     gen_structured_primes,
     gen_two_three_primes,
     is_prime,
+    lehmer_constrained_factor,
     proth_test,
 )
-from cullen_lehmer.primality import DETERMINISTIC_LIMIT, PROTH_BASE_CAP, SMALL_PRIMES
+from cullen_lehmer.primality import (
+    _MR_BASES,
+    DETERMINISTIC_LIMIT,
+    PROTH_BASE_CAP,
+    SMALL_PRIMES,
+    SPECIAL_FORM_BITS,
+    _mr_composite_witness,
+    _proth_pow,
+    _screen_prime,
+    _sieve,
+)
 
 
 def sieve_flags(limit):
@@ -76,6 +89,13 @@ class TestProth:
         # the certificate is checkable directly
         assert pow(v.witness, (c.value - 1) // 2, c.value) == c.value - 1
 
+    def test_cullen_4713_certificate_in_special_form(self):
+        c = cullen(4713)
+        assert c.value.bit_length() >= SPECIAL_FORM_BITS
+        v = proth_test(c.n1, c.n2)
+        assert v.is_prime and v.method == "proth" and v.witness == 5
+        assert pow(v.witness, (c.value - 1) // 2, c.value) == c.value - 1
+
     def test_precondition_violations(self):
         with pytest.raises(ValueError):
             proth_test(2, 5)  # even n1
@@ -104,6 +124,88 @@ class TestProth:
                 checked += 1
             n2 += 1
         assert checked > 4000
+
+
+class TestSpecialForm:
+    @given(st.integers(min_value=1, max_value=2000), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_proth_pow_equals_pow(self, s, data):
+        k = 2 * data.draw(st.integers(min_value=0, max_value=(1 << min(s, 20)) // 2 - 1)) + 1
+        M = (k << s) + 1
+        a = data.draw(st.one_of(st.sampled_from([0, 1, M - 1]),
+                                st.integers(min_value=0, max_value=2 * M)))
+        e = data.draw(st.integers(min_value=0, max_value=(1 << (4 * s)) - 1))
+        assert _proth_pow(a, e, k, s) == pow(a, e, M)
+
+    def test_proth_pow_edges(self):
+        # (M-1)^2 = 1 is the largest product reduced; it leaves r = -q with
+        # q = M-1, the most negative residue before the correction
+        for k, s in ((1, 1), (1, 64), (3, 5), (2**20 - 1, 40), (13, 700)):
+            M = (k << s) + 1
+            for a in (0, 1, 2, M - 2, M - 1):
+                for e in (0, 1, 2, 3, M - 2, M - 1, 4 * M):
+                    assert _proth_pow(a, e, k, s) == pow(a, e, M), (k, s, a, e)
+
+    @staticmethod
+    def listed_divisors(n):
+        """C(n), its structured divisors and the search's leftover cofactor."""
+        r = lehmer_constrained_factor(n)
+        listed = {cullen(n).value, r.factorization.cofactor}
+        listed |= {sp.value for sp in r.structured_divisors}
+        return sorted(listed - {1})
+
+    def test_within_keeps_every_verdict(self):
+        # the verdict, witness base included, whatever route it takes
+        for n in range(1, 701):
+            c = cullen(n)
+            for N in self.listed_divisors(n):
+                assert is_prime(N, within=(c.n1, c.n2)) == is_prime(N), (n, N)
+
+    def test_special_form_miller_rabin_per_base(self):
+        # every listed divisor for which is_prime takes the special form,
+        # base by base against pow modulo N itself
+        checked = 0
+        for n in range(1, 701):
+            c = cullen(n)
+            for N in self.listed_divisors(n):
+                if N.bit_length() < SPECIAL_FORM_BITS:
+                    continue
+                d, s = N - 1, 0
+                while d % 2 == 0:
+                    d //= 2
+                    s += 1
+                for a in _MR_BASES:
+                    special = _mr_composite_witness(a, d, s, N, (c.n1, c.n2))
+                    assert special == _mr_composite_witness(a, d, s, N), (n, N, a)
+                checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("N, within", [
+        (7, (3, 5)),      # 97 = 3*2^5 + 1 is prime
+        (0, (3, 5)),
+        (97, (0, 5)),
+        (97, (3, 0)),
+        (cullen(700).value + 2, (cullen(700).n1, cullen(700).n2)),
+    ])
+    def test_within_must_divide(self, N, within):
+        with pytest.raises(ValueError):
+            is_prime(N, within=within)
+
+    def test_screen_equals_trial_division(self):
+        screen = [p for p in _sieve(100_000) if p > 2000]
+        for n in range(1, 1501):
+            value = cullen(n).value
+            assert _screen_prime(value) == next((p for p in screen if value % p == 0), None), n
+
+    def test_screen_hit_factor_is_prime(self):
+        # the gcd is N itself when every prime of N lies in the screen
+        # range; the verdict names a prime of it, not N
+        N = 1
+        for p in _sieve(3000)[303:]:
+            N *= p
+        assert N.bit_length() >= SPECIAL_FORM_BITS
+        v = is_prime(N)
+        assert v.is_composite and v.method == "trial" and v.factor == 2003
 
 
 class TestFermat:
