@@ -26,12 +26,10 @@ from .primality import (
     DETERMINISTIC_LIMIT,
     PRIME,
     PROBABLE_PRIME,
-    SMALL_PRIMES,
-    SPECIAL_FORM_BITS,
     PrimalityVerdict,
     StructuredPrime,
-    _screen_prime,
     _sieve,
+    _small_factor,
     is_prime,
     proth_test,
     structured_verdict,
@@ -301,13 +299,11 @@ def _structured_hits(c: CullenNumber) -> list[tuple[int, int, int]]:
 
 def _cullen_verdict(c: CullenNumber, hits: list[tuple[int, int, int]]) -> PrimalityVerdict:
     """Primality of C(n), from the cheapest evidence first: a structured
-    hit, a prime of SMALL_PRIMES below C(n), from SPECIAL_FORM_BITS on a
-    prime below 10^5 (one gcd), and only then the Proth test."""
+    hit, then primality._small_factor, and only then the Proth test.  A hit
+    divides C(n) but need not be prime, so that verdict names no factor."""
     if hits:
-        return PrimalityVerdict(c.value, COMPOSITE, "trial", factor=hits[0][0])
-    p = next((p for p in SMALL_PRIMES if p < c.value and c.value % p == 0), None)
-    if p is None and c.value.bit_length() >= SPECIAL_FORM_BITS:
-        p = _screen_prime(c.value)
+        return PrimalityVerdict(c.value, COMPOSITE, "trial")
+    p = _small_factor(c.value)
     if p is not None:
         return PrimalityVerdict(c.value, COMPOSITE, "trial", factor=p)
     return proth_test(c.n1, c.n2)

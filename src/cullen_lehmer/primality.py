@@ -73,6 +73,19 @@ def _screen_prime(N: int) -> int | None:
     return next(p for p in _sieve(100_000) if p > SMALL_PRIMES[-1] and g % p == 0)
 
 
+def _small_factor(N: int) -> int | None:
+    """The least prime p < N dividing N >= 2 among SMALL_PRIMES or, from
+    SPECIAL_FORM_BITS on, among the primes below 10^5; None if there is
+    none.  is_prime, and the search before a Proth test on C(n), screen by
+    it before any exponentiation."""
+    for p in SMALL_PRIMES:
+        if N % p == 0:
+            return p if p < N else None
+    if N.bit_length() >= SPECIAL_FORM_BITS:
+        return _screen_prime(N)
+    return None
+
+
 def _proth_pow(a: int, e: int, k: int, s: int) -> int:
     """a^e mod M for M = k*2^s + 1 (k, s >= 1, e >= 0), with no division by M.
 
@@ -170,8 +183,7 @@ def is_prime(N: int, *, within: tuple[int, int] | None = None) -> PrimalityVerdi
     within = (k, s) states that N divides M = k*2^s + 1, and a ValueError
     is raised when it does not.  It changes no verdict, only the cost: from
     SPECIAL_FORM_BITS on, Miller-Rabin exponentiates modulo M in special
-    form, unless M has twice N's bits or more, where pow modulo N is the
-    cheaper of the two.
+    form.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -182,19 +194,12 @@ def is_prime(N: int, *, within: tuple[int, int] | None = None) -> PrimalityVerdi
             raise ValueError(f"N ({N.bit_length()} bits) does not divide {k}*2^{t}+1")
     if N < 2:
         return PrimalityVerdict(N, NOT_PRIME, "trial")
-    for p in SMALL_PRIMES:
-        if N == p:
-            return PrimalityVerdict(N, PRIME, "trial")
-        if N % p == 0:
-            return PrimalityVerdict(N, COMPOSITE, "trial", factor=p)
+    p = _small_factor(N)
+    if p is not None:
+        return PrimalityVerdict(N, COMPOSITE, "trial", factor=p)
     if N < SMALL_PRIMES[-1] ** 2:
         return PrimalityVerdict(N, PRIME, "trial")
-    bits = N.bit_length()
-    if bits >= SPECIAL_FORM_BITS:
-        p = _screen_prime(N)
-        if p is not None:
-            return PrimalityVerdict(N, COMPOSITE, "trial", factor=p)
-    if within is not None and (bits < SPECIAL_FORM_BITS or 2 * bits <= M.bit_length()):
+    if N.bit_length() < SPECIAL_FORM_BITS:
         within = None
 
     d, s = N - 1, 0

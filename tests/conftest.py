@@ -1,5 +1,6 @@
-"""Shared fixtures: a fully factored corpus of small Cullen values and a
-subprocess runner for the CLI."""
+"""Shared fixtures: a fully factored corpus of small Cullen values, a
+subprocess runner for the CLI, and the int/str digit limit restored after
+every test."""
 
 import json
 import subprocess
@@ -31,10 +32,11 @@ def factored_corpus():
     return corpus
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def int_digit_limit():
-    """Set CPython's int/str digit limit for one test and restore it after;
-    yields a setter (a no-op where the interpreter has no such limit)."""
+    """Restore CPython's int/str digit limit after every test, since main()
+    lifts it for the whole process; yields a setter for a test that needs a
+    given limit (a no-op where the interpreter has no such limit)."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield lambda limit: None
         return

@@ -255,6 +255,21 @@ class TestLehmerConstrainedFactor:
             plain = sorted(f for f in _candidate_forms(c) if c.value % f[0] == 0)
             assert _structured_hits(c) == plain, n
 
+    def test_cullen_verdict_names_only_prime_factors(self):
+        # C(173)'s least structured hit is 5537 = 7^2 * 113: it proves
+        # C(173) composite but is no prime factor, so no verdict names it
+        from cullen_lehmer.factoring import _cullen_verdict, _structured_hits
+        from cullen_lehmer.primality import is_prime
+
+        assert _structured_hits(cullen(173))[0][0] == 5537
+        for n in range(1, 301):
+            c = cullen(n)
+            v = _cullen_verdict(c, _structured_hits(c))
+            assert v.factor is None or is_prime(v.factor).is_prime, n
+            r = lehmer_constrained_factor(n)
+            if r.cofactor_verdict is not None and r.cofactor_verdict.factor is not None:
+                assert is_prime(r.cofactor_verdict.factor).is_prime, n
+
     def test_totient_route(self, monkeypatch):
         # no index below 1500 factors entirely into admissible structured
         # primes, so drive the branch with a widened candidate list:

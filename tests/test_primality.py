@@ -180,6 +180,28 @@ class TestSpecialForm:
                 checked += 1
         assert checked > 150
 
+    @pytest.mark.parametrize("n, special", [(141, False), (609, True)])
+    def test_within_route(self, n, special, monkeypatch):
+        # C(609), 619 bits, has no prime factor below 10^5: from
+        # SPECIAL_FORM_BITS on, Miller-Rabin with within runs in special
+        # form; below it, and without within, pow modulo N runs instead
+        import cullen_lehmer.primality as primality
+
+        used = []
+
+        def counted(*args):
+            used.append(args[1:])
+            return _proth_pow(*args)
+
+        monkeypatch.setattr(primality, "_proth_pow", counted)
+        c = cullen(n)
+        assert (c.value.bit_length() >= SPECIAL_FORM_BITS) == special
+        plain = is_prime(c.value)
+        assert not used
+        assert is_prime(c.value, within=(c.n1, c.n2)) == plain
+        assert bool(used) == (special and plain.method == "probabilistic-mr")
+        assert all(args[1:] == (c.n1, c.n2) for args in used)
+
     @pytest.mark.parametrize("N, within", [
         (7, (3, 5)),      # 97 = 3*2^5 + 1 is prime
         (0, (3, 5)),
