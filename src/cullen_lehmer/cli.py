@@ -346,6 +346,12 @@ def _research_row(record: _Record) -> dict:
 # commands
 
 
+def _cache_params(cache: FactorCache) -> dict:
+    """The cache's header parameters: its path and what its load found."""
+    return {"cache": str(cache.path), "cache_entries": len(cache),
+            "cache_skipped_lines": cache.skipped_lines}
+
+
 def _cmd_rows(args, out) -> int:
     """check, scan, ratio and carmichael: one record per index, projected to
     the scan schema or, with a summary, to the research schema."""
@@ -360,7 +366,7 @@ def _cmd_rows(args, out) -> int:
     emitter = Emitter(out, args.csv, RESEARCH_FIELDS if research else SCAN_FIELDS)
     emitter.header(args.command, {"n_min": n_min, "n_max": n_max,
                                   "budget": budget.rho_iterations, "workers": workers,
-                                  "cache": str(cache.path)})
+                                  **_cache_params(cache)})
     ns = range(n_min, n_max + 1)
     ratios: list[Fraction] = []
     carmichael_hits = 0
@@ -421,7 +427,7 @@ def _cmd_factor(args, out) -> int:
     budget, _, cache = _resolve(args)
     emitter = Emitter(out, args.csv, FACTOR_FIELDS)
     emitter.header("factor", {"n": args.n, "budget": budget.rho_iterations,
-                              "cache": str(cache.path)})
+                              **_cache_params(cache)})
     counter = WorkCounter()
     fact = cache.get(args.n)
     from_cache = fact is not None

@@ -266,15 +266,22 @@ class LehmerSearchResult:
 
 
 def _candidate_forms(c: CullenNumber) -> Iterator[tuple[int, int, int]]:
-    """(value, m, e) for every m*2^e + 1 with m | n odd and e <= n2, except
-    C(n) = n1*2^n2 + 1 itself.  This set provably contains every prime
-    proper divisor p of C(n) with p-1 | C(n)-1.  The forms are generated
-    lazily and unordered: their values run to n bits each, so the whole
-    list would hold about d(n)*n^2/2 bits."""
+    """(value, m, e) for every m*2^e + 1 with m | n odd and
+    1 <= e <= (bits(C(n)) - bits(m)) // 2.  This set provably contains every
+    proper divisor m*2^e + 1 of C(n) with m | n odd and e <= n2, hence every
+    prime proper divisor p with p-1 | C(n)-1.
+
+    The bound: for such a divisor p, 2^e divides both C(n)-1 and p-1, so
+    lam = C(n)/p = 1 (mod 2^e), and lam > 1 since p < C(n); so
+    lam >= 2^e + 1 and C(n) >= (m*2^e + 1)(2^e + 1) > 2^(2e + bits(m) - 1),
+    that is, 2e + bits(m) <= bits(C(n)).  As bits(C(n)) = bits(n1) + n2
+    and bits(n1) <= n <= n2, the bound lies below n2, so C(n) =
+    n1*2^n2 + 1 itself is never generated.  The forms are generated lazily
+    and unordered: their values run to n/2 bits each."""
+    bits = c.value.bit_length()
     for m in odd_divisors(c.n):
-        for e in range(1, c.n2 + 1):
-            if (m, e) != (c.n1, c.n2):
-                yield (m << e) + 1, m, e
+        for e in range(1, (bits - m.bit_length()) // 2 + 1):
+            yield (m << e) + 1, m, e
 
 
 def _divides_cullen(n: int, m: int, e: int) -> bool:

@@ -3,8 +3,9 @@
 Verdicts are deterministic wherever the pipeline needs them to be: a fixed
 Miller-Rabin witness set decides everything below DETERMINISTIC_LIMIT
 (comfortably above 2^64), and Proth certificates decide the k*2^e + 1 forms
-of any size.  Only the general probabilistic fallback can return
-"probable_prime", and nothing in the theorem pipeline depends on it.
+of any size.  Above the limit the general test is Baillie-PSW (Miller-Rabin
+to base 2, then a strong Lucas test); only it can return "probable_prime",
+and nothing in the theorem pipeline depends on that verdict.
 
 From SPECIAL_FORM_BITS on, exponentiations modulo a divisor of some
 k*2^s + 1 with small k (a Cullen number and its cofactors) reduce modulo
@@ -16,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
-from .cullen import odd_divisors
+from .cullen import odd_divisors, v2
 from .errors import BudgetError
 
 PRIME = "prime"
@@ -31,7 +32,6 @@ NOT_PRIME = "not_prime"  # 0 and 1: neither prime nor composite
 DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-DEFAULT_ROUNDS = 64
 PROTH_BASE_CAP = 64
 
 # Bit length of the modulus from which the special-form reduction beats the
@@ -119,9 +119,10 @@ class PrimalityVerdict:
     """Outcome of a primality test with the evidence that produced it.
 
     method records the regime ("trial", "deterministic-mr", "proth",
-    "probabilistic-mr"); witness is a Proth certificate base or the
-    Miller-Rabin base that exposed compositeness; factor is a nontrivial
-    divisor when one was found.
+    "probabilistic-mr", the last being Baillie-PSW); witness is a Proth
+    certificate base or the Miller-Rabin base that exposed compositeness
+    (None when the strong Lucas test did); factor is a nontrivial divisor
+    when one was found.
     """
 
     value: int
@@ -175,15 +176,17 @@ def is_prime(N: int, *, within: tuple[int, int] | None = None) -> PrimalityVerdi
     """Primality verdict for N >= 0.
 
     Deterministic below DETERMINISTIC_LIMIT via the fixed witness set;
-    above it, a probabilistic test over the first DEFAULT_ROUNDS prime bases
-    (fixed, so identical runs reproduce) reporting probable_prime at best.
+    above it, Baillie-PSW, reported as method "probabilistic-mr":
+    Miller-Rabin to base 2 (witness 2 when it finds N composite), then
+    _strong_lucas_prp (witness None), and probable_prime at best.  No
+    composite is known to pass both.
     From SPECIAL_FORM_BITS on, the primes below 10^5 are screened by one
     gcd first; a hit is a "trial" verdict with that prime as the factor.
 
     within = (k, s) states that N divides M = k*2^s + 1, and a ValueError
     is raised when it does not.  It changes no verdict, only the cost: from
     SPECIAL_FORM_BITS on, Miller-Rabin exponentiates modulo M in special
-    form.
+    form; the Lucas test reduces modulo N.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -211,10 +214,53 @@ def is_prime(N: int, *, within: tuple[int, int] | None = None) -> PrimalityVerdi
             if _mr_composite_witness(a, d, s, N):
                 return PrimalityVerdict(N, COMPOSITE, "deterministic-mr", witness=a)
         return PrimalityVerdict(N, PRIME, "deterministic-mr")
-    for a in SMALL_PRIMES[:DEFAULT_ROUNDS]:
-        if _mr_composite_witness(a, d, s, N, within):
-            return PrimalityVerdict(N, COMPOSITE, "probabilistic-mr", witness=a)
+    if _mr_composite_witness(2, d, s, N, within):
+        return PrimalityVerdict(N, COMPOSITE, "probabilistic-mr", witness=2)
+    if not _strong_lucas_prp(N):
+        return PrimalityVerdict(N, COMPOSITE, "probabilistic-mr")
     return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
+
+
+def _strong_lucas_prp(N: int) -> bool:
+    """Strong Lucas probable-prime test of odd N > 2 with Selfridge's
+    method A: D is the first of 5, -7, 9, -11, ... with (D/N) = -1, P = 1
+    and Q = (1-D)/4.  With N+1 = d*2^s, d odd, N passes when U_d = 0 or
+    V_(d*2^r) = 0 (mod N) for some 0 <= r < s.  Every odd prime passes;
+    False proves N composite.  A perfect square is rejected first, since no
+    D has (D/N) = -1 for it, and (D/N) = 0 with N not dividing D exposes a
+    factor.  See Baillie & Wagstaff, "Lucas pseudoprimes", Math. Comp. 35
+    (1980), and Pomerance, Selfridge & Wagstaff in the same volume.
+    """
+    if isqrt(N) ** 2 == N:
+        return False
+    D = 5
+    while (symbol := _jacobi(D, N)) != -1:
+        if symbol == 0 and D % N:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+
+    def half(x: int) -> int:  # x/2 modulo the odd N
+        x %= N
+        return (x + N if x & 1 else x) >> 1
+
+    s = v2(N + 1)
+    # U_k, V_k and Q^k from k = 1 along the bits of d: doubling by
+    # U_2k = U_k*V_k, V_2k = V_k^2 - 2Q^k; a step by 2U_(k+1) = U_k + V_k,
+    # 2V_(k+1) = D*U_k + V_k (P = 1)
+    U, V, Qk = 1, 1, Q % N
+    for bit in bin((N + 1) >> s)[3:]:
+        U, V, Qk = U * V % N, (V * V - 2 * Qk) % N, Qk * Qk % N
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % N
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % N
+        if V == 0:
+            return True
+        Qk = Qk * Qk % N
+    return False
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -208,6 +208,23 @@ class TestResearchScans:
         assert json.loads(last[2:])["rows"] == 3
 
 
+class TestCacheStatsInHeader:
+    @pytest.mark.parametrize("argv", [
+        ["check", "6"], ["scan", "5", "6"], ["ratio", "6", "6"], ["carmichael", "6", "6"],
+        ["factor", "6"],
+    ])
+    def test_header_counts_loaded_and_skipped_lines(self, argv, tmp_path):
+        cache = tmp_path / "c.txt"
+        cache.write_text("6\tcomplete\t5 7 11\t1\nnot a record\n", encoding="utf-8")
+        out = io.StringIO()
+        assert main([*argv, "--budget", "0", "--cache", str(cache)], out=out) == EXIT_OK
+        header, rows, _, _ = parse_jsonl(out.getvalue())
+        assert header["params"]["cache"] == str(cache)
+        assert header["params"]["cache_entries"] == 1
+        assert header["params"]["cache_skipped_lines"] == 1
+        assert rows[-1]["n"] == 6 and rows[-1]["from_cache"] is True
+
+
 class TestDeterminism:
     def test_repeat_run_body_identical(self, tmp_path):
         a = run_cli("scan", 1, 15, "--cache", tmp_path / "a.txt")[1]
@@ -266,6 +283,9 @@ class TestGoldenBodies:
         # exponentiation and the screen to 10^5 run
         (("scan", 2000, 2040), "cb3020688e31af0f24fe2c191e0b11fcee8bd49e663e57a22147e2db5efc7378"),
         (("check", 4494), "5c43acf60beeacfe6fa1c09055b4d08e776eede90f8c48de901b310c06e3a655"),
+        # both sides of SPECIAL_FORM_BITS, with probable-prime cofactors
+        # that Baillie-PSW settles
+        (("scan", 550, 700), "2fcea8bea5f1cc0fe5ec9c8c2f46f7b010dbf55fb57d5bd9a1d3c3411a11af38"),
     ])
     def test_body_digest(self, args, digest, tmp_path):
         code, out, _ = run_cli(*args, "--budget", 0, "--cache", tmp_path / "c.txt")

@@ -25,6 +25,7 @@ from cullen_lehmer.factoring import (
     VERDICT_STRUCTURAL,
     VERDICT_TOTIENT,
 )
+from cullen_lehmer.primality import SPECIAL_FORM_BITS
 
 ALL_VERDICTS = {VERDICT_PRIME, VERDICT_SQUAREFREE, VERDICT_STRUCTURAL, VERDICT_TOTIENT}
 
@@ -169,11 +170,13 @@ class TestLehmerConstrainedFactor:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """(args, kwargs) of every proth_test and is_prime call, in order."""
+        """(args, kwargs) of every proth_test, is_prime, Miller-Rabin base
+        and strong Lucas call, in order."""
         import cullen_lehmer.factoring as factoring
         import cullen_lehmer.primality as primality
 
-        seen = {"proth_test": [], "is_prime": []}
+        seen = {"proth_test": [], "is_prime": [], "_mr_composite_witness": [],
+                "_strong_lucas_prp": []}
         for name, log in seen.items():
             original = getattr(primality, name)
 
@@ -182,7 +185,8 @@ class TestLehmerConstrainedFactor:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(primality, name, counted)
-            monkeypatch.setattr(factoring, name, counted)
+            if hasattr(factoring, name):
+                monkeypatch.setattr(factoring, name, counted)
         return seen
 
     @pytest.mark.parametrize("n, proth_calls", [
@@ -202,15 +206,20 @@ class TestLehmerConstrainedFactor:
         assert r.witness.kind == "cofactor" and r.witness.cofactor == cofactor
         assert r.witness.detail.startswith(f"cofactor {cofactor} > 1 remains")
 
-    @pytest.mark.parametrize("n, proth_calls, tested", [
-        (5, 0, 1), (9, 0, 1), (11, 0, 1), (34, 0, 1), (53, 1, 1), (141, 1, 0),
-        (233, 1, 0),  # C(233) has no prime factor below 10^4: its verdict is handed over
+    @pytest.mark.parametrize("n, proth_calls, tested, mr_bases, lucas_calls", [
+        (5, 0, 1, [], 0), (9, 0, 1, [], 0), (11, 0, 1, [], 0), (34, 0, 1, [], 0),
+        (53, 1, 1, [2], 0), (141, 1, 0, [], 0),
+        # C(233) has no prime factor below 10^4: its verdict is handed over
+        (233, 1, 0, [], 0),
         # above SPECIAL_FORM_BITS, no structured hit; the least prime factor
         # of C(634) is 2459 and of C(870) 39869, beyond trial division's 10^4
-        (634, 0, 1), (870, 0, 0),
-        (609, 1, 0),  # no prime factor below 10^5
+        (634, 0, 1, [2], 0), (870, 0, 0, [], 0),
+        (609, 1, 0, [], 0),  # no prime factor below 10^5
+        # a probable-prime cofactor: Baillie-PSW runs once, in special form
+        # for the 611-bit cofactor of C(604)
+        (101, 0, 1, [2], 1), (604, 0, 1, [2], 1),
     ])
-    def test_row_exponentiations(self, n, proth_calls, tested, calls):
+    def test_row_exponentiations(self, n, proth_calls, tested, mr_bases, lucas_calls, calls):
         # the whole row at --budget 0: search, then the general engine on
         # the cofactor with the search's verdict handed over
         from cullen_lehmer.cli import _compute
@@ -223,6 +232,12 @@ class TestLehmerConstrainedFactor:
         assert len(values) == len(set(values)) == tested
         # each value tested divides C(n) and says so
         assert all(kwargs == {"within": (c.n1, c.n2)} for _, kwargs in calls["is_prime"])
+        assert [args[0] for args, _ in calls["_mr_composite_witness"]] == mr_bases
+        assert len(calls["_strong_lucas_prp"]) == lucas_calls
+        # from SPECIAL_FORM_BITS on, Miller-Rabin exponentiates in special form
+        for args, _ in calls["_mr_composite_witness"]:
+            N, within = args[3], args[4] if len(args) > 4 else None
+            assert within == ((c.n1, c.n2) if N.bit_length() >= SPECIAL_FORM_BITS else None)
 
     def test_prime_cullen_value_one_proth_call(self, calls):
         c = cullen(141)
@@ -248,12 +263,31 @@ class TestLehmerConstrainedFactor:
         assert _divides_cullen(n, m, e) == (cullen(n).value % (m * 2**e + 1) == 0)
 
     def test_hits_equal_plain_filter(self):
-        from cullen_lehmer.factoring import _candidate_forms, _structured_hits
+        # the oracle is the unbounded enumeration, every m | n odd and
+        # 1 <= e <= n2 but C(n) itself, filtered by plain division
+        from cullen_lehmer.factoring import _structured_hits
 
-        for n in range(1, 401):
+        for n in range(1, 601):
             c = cullen(n)
-            plain = sorted(f for f in _candidate_forms(c) if c.value % f[0] == 0)
+            plain = sorted(
+                ((m << e) + 1, m, e)
+                for m in odd_divisors(n)
+                for e in range(1, c.n2 + 1)
+                if (m, e) != (c.n1, c.n2) and c.value % ((m << e) + 1) == 0
+            )
             assert _structured_hits(c) == plain, n
+
+    @given(st.integers(min_value=1, max_value=3000))
+    @settings(max_examples=300, deadline=None)
+    def test_hit_cofactor_is_one_mod_two_to_e(self, n):
+        # the candidate bound rests on lam = C(n)/p = 1 (mod 2^e), lam > 1
+        from cullen_lehmer.factoring import _structured_hits
+
+        c = cullen(n)
+        for p, m, e in _structured_hits(c):
+            lam, rest = divmod(c.value, p)
+            assert rest == 0 and p < c.value
+            assert lam % (1 << e) == 1 and lam >= (1 << e) + 1, (n, m, e)
 
     def test_cullen_verdict_names_only_prime_factors(self):
         # C(173)'s least structured hit is 5537 = 7^2 * 113: it proves

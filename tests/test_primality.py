@@ -6,6 +6,7 @@ from cullen_lehmer import (
     COMPOSITE,
     NOT_PRIME,
     PRIME,
+    PROBABLE_PRIME,
     cullen,
     fermat_primes,
     fermat_status,
@@ -25,6 +26,7 @@ from cullen_lehmer.primality import (
     _proth_pow,
     _screen_prime,
     _sieve,
+    _strong_lucas_prp,
 )
 
 
@@ -71,6 +73,59 @@ class TestIsPrime:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             is_prime(-7)
+
+
+class TestBailliePSW:
+    """Above DETERMINISTIC_LIMIT: Miller-Rabin to base 2, then the strong
+    Lucas test with Selfridge's parameters."""
+
+    # the strong Lucas pseudoprimes below 10^5 (OEIS A217255)
+    LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                          40309, 58519, 75077, 97439)
+    MERSENNE_EXPONENTS = (89, 107, 127, 521, 607, 1279)
+
+    def test_strong_lucas_pseudoprimes_pass(self):
+        for x in self.LUCAS_PSEUDOPRIMES:
+            assert _strong_lucas_prp(x), x
+            assert is_prime(x).is_composite, x
+
+    def test_odd_primes_pass(self):
+        flags = sieve_flags(20_000)
+        for x in range(3, 20_001, 2):
+            if flags[x]:
+                assert _strong_lucas_prp(x), x
+
+    def test_composite_mersenne_numbers(self):
+        # for prime p, 2 has order p modulo 2^p - 1 and p divides
+        # 2^(p-1) - 1, so every composite 2^p - 1 is a strong pseudoprime
+        # to base 2; those with no prime factor below the screen bound
+        # reach the Lucas test, which alone finds them composite
+        reached = 0
+        for p in _sieve(1279):
+            if p < 89:
+                continue
+            N = 2**p - 1
+            v = is_prime(N)
+            if p in self.MERSENNE_EXPONENTS:
+                assert v.status == PROBABLE_PRIME and v.method == "probabilistic-mr", p
+                continue
+            assert not _mr_composite_witness(2, (N - 1) // 2, 1, N), p
+            assert v.is_composite, p
+            if v.method == "probabilistic-mr":
+                assert v.witness is None, p
+                reached += 1
+        assert reached == 133  # of 178; 45 have a prime factor the screen finds
+
+    def test_base_two_witness(self):
+        # a product of two primes above 2000 whose base-2 Miller-Rabin fails
+        N = (2**89 - 1) * (2**107 - 1)
+        v = is_prime(N)
+        assert v.is_composite and v.method == "probabilistic-mr" and v.witness == 2
+
+    @pytest.mark.parametrize("x", [1093**2, 3511**2, (2**89 - 1) ** 2])
+    def test_squares_rejected(self, x):
+        # no D has (D/x) = -1 for a square, so the search must not start
+        assert not _strong_lucas_prp(x)
 
 
 class TestProth:

@@ -45,3 +45,39 @@ def test_is_prime_matches_isprime():
     mismatches = [x for x in values if is_prime(x).probably_prime != sympy.isprime(x)]
     assert mismatches == []
     assert sum(sympy.isprime(x) for x in values) >= 500
+
+
+def test_strong_lucas_matches_sympy():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    from cullen_lehmer.primality import _strong_lucas_prp
+
+    rng = random.Random(1980)
+    values = []
+    for i in range(240):
+        bits = rng.randint(5, 1500)
+        x = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if i % 4 == 0 and bits <= 400:
+            x = sympy.nextprime(x)
+        values.append(x)
+    values += [5459, 5777, 10877, 2**521 - 1, 2**607 - 1, 1093**2, (2**89 - 1) ** 2]
+    mismatches = [x for x in values if _strong_lucas_prp(x) != is_strong_lucas_prp(x)]
+    assert mismatches == []
+    assert sum(_strong_lucas_prp(x) for x in values) >= 30
+
+
+def test_is_prime_matches_isprime_past_the_deterministic_limit():
+    # Baillie-PSW above the limit, on primes and semiprimes of 200-1200 bits
+    rng = random.Random(1981)
+
+    def prime(bits):
+        return sympy.nextprime(rng.getrandbits(bits) | (1 << (bits - 1)))
+
+    values = [prime(rng.randint(200, 640)) for _ in range(24)]
+    values += [prime(1000), prime(1200), 2**521 - 1, 2**607 - 1]
+    for _ in range(24):
+        bits = rng.randint(200, 1200)
+        values.append(prime(bits // 2) * prime(bits - bits // 2))
+    mismatches = [x for x in values if is_prime(x).probably_prime != sympy.isprime(x)]
+    assert mismatches == []
+    assert sum(is_prime(x).probably_prime for x in values) == 28
