@@ -206,7 +206,7 @@ class TestLehmerConstrainedFactor:
         assert r.witness.kind == "cofactor" and r.witness.cofactor == cofactor
         assert r.witness.detail.startswith(f"cofactor {cofactor} > 1 remains")
 
-    @pytest.mark.parametrize("n, proth_calls, tested, mr_bases, lucas_calls", [
+    ROWS = [
         (5, 0, 1, [], 0), (9, 0, 1, [], 0), (11, 0, 1, [], 0), (34, 0, 1, [], 0),
         (53, 1, 1, [2], 0), (141, 1, 0, [], 0),
         # C(233) has no prime factor below 10^4: its verdict is handed over
@@ -218,7 +218,12 @@ class TestLehmerConstrainedFactor:
         # a probable-prime cofactor: Baillie-PSW runs once, in special form
         # for the 611-bit cofactor of C(604)
         (101, 0, 1, [2], 1), (604, 0, 1, [2], 1),
-    ])
+    ]
+
+    @pytest.mark.parametrize(
+        "n, proth_calls, tested, mr_bases, lucas_calls", ROWS,
+        ids=[f"{n}-{p}-{t}" for n, p, t, _, _ in ROWS],
+    )
     def test_row_exponentiations(self, n, proth_calls, tested, mr_bases, lucas_calls, calls):
         # the whole row at --budget 0: search, then the general engine on
         # the cofactor with the search's verdict handed over
