@@ -13,9 +13,10 @@ a partial result is acceptable.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from pathlib import Path
 from threading import Lock
 
@@ -30,6 +31,7 @@ from .primality import (
     StructuredPrime,
     _sieve,
     _small_factor,
+    _small_prime_divisors,
     is_prime,
     proth_test,
     structured_verdict,
@@ -44,6 +46,9 @@ VERDICT_PRIME = "prime"
 VERDICT_STRUCTURAL = "structurally_refuted"
 VERDICT_SQUAREFREE = "squarefree_refuted"
 VERDICT_TOTIENT = "totient_refuted"
+
+# general_factor divides out the primes up to this bound before rho
+TRIAL_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -99,11 +104,10 @@ def euler_phi(f: Factorization) -> int:
 class FactorBudget:
     """Effort descriptor for the general engine, in deterministic units."""
 
-    trial_bound: int = 10_000
     rho_iterations: int = 262_144
 
     def __post_init__(self):
-        if self.trial_bound < 3 or self.rho_iterations < 0:
+        if self.rho_iterations < 0:
             raise ValueError("nonsensical budget")
 
 
@@ -168,9 +172,12 @@ def general_factor(
     within: tuple[int, int] | None = None,
     verdict: PrimalityVerdict | None = None,
 ) -> Factorization:
-    """Trial division up to budget.trial_bound, then Pollard rho rounds
-    until budget.rho_iterations is spent.  Deterministic given (N, budget):
-    rho uses x0 = 2 and the polynomial constants c = 1, 2, 3, ... in order.
+    """Trial division by the primes up to TRIAL_BOUND, then Pollard rho
+    rounds until budget.rho_iterations is spent.  Deterministic given
+    (N, budget): rho uses x0 = 2 and the polynomial constants c = 1, 2, 3,
+    ... in order.  counter.trial_divisions counts the primes tried in
+    ascending order until p^2 exceeds what is left of N; the primes that
+    divide N come from one gcd, the count from the sieve between them.
 
     within = (k, s), when N divides k*2^s + 1, is passed to every is_prime
     call, since each value tested divides N.  verdict, a primality verdict
@@ -188,13 +195,16 @@ def general_factor(
     leftovers: list[int] = []
 
     m = N
-    for p in _sieve(budget.trial_bound - 1):
+    primes = _sieve(TRIAL_BOUND)
+    tried = 0  # index of the first prime not yet tried
+    for p in _small_prime_divisors(N, TRIAL_BOUND):
         if p * p > m:
             break
-        counter.trial_divisions += 1
         while m % p == 0:
             found[p] = found.get(p, 0) + 1
             m //= p
+        tried = bisect_left(primes, p, tried) + 1
+    counter.trial_divisions += bisect_right(primes, isqrt(m), tried)
 
     def settle(x: int, known: PrimalityVerdict | None = None) -> None:
         """Classify x as prime (record) or composite (queue for rho)."""

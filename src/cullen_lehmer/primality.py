@@ -15,6 +15,7 @@ primes below 10^5 with one gcd before any exponentiation.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -53,37 +54,39 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return tuple(i for i, f in enumerate(flags) if f)
 
 
-SMALL_PRIMES = _sieve(2000)  # 303 primes; also the base pool for fallbacks
+SMALL_PRIMES = _sieve(2000)  # 303 primes: the Proth bases, and _small_factor's below 600 bits
 
 
-@lru_cache(maxsize=1)
-def _screen_product() -> int:
-    """Product of the primes in (2000, 10^5), 141 kbit, built on first use."""
-    return prod(p for p in _sieve(100_000) if p > SMALL_PRIMES[-1])
+@lru_cache(maxsize=4)
+def _prime_product(bound: int) -> int:
+    """Product of the primes up to bound, built on first use: 2.8 kbit for
+    2000, 14 kbit for 10^4, 141 kbit for 10^5."""
+    return prod(_sieve(bound))
 
 
-def _screen_prime(N: int) -> int | None:
-    """The least prime in (2000, 10^5) dividing N, or None.
+def _small_prime_divisors(N: int, bound: int) -> Iterator[int]:
+    """The primes up to bound that divide N > 0, ascending.
 
-    One gcd with _screen_product costs about 0.3 ms at 600 bits and 2 ms at
-    7000 bits; the least prime is then looked for in the gcd alone."""
-    g = gcd(N, _screen_product())
-    if g == 1:
-        return None
-    return next(p for p in _sieve(100_000) if p > SMALL_PRIMES[-1] and g % p == 0)
+    One gcd with _prime_product(bound) finds them all (about 0.3 ms at 600
+    bits and 2 ms at 7000 bits for bound 10^5); they are then read off the
+    squarefree gcd alone, and the scan stops once it is used up."""
+    g = gcd(N, _prime_product(bound))
+    for p in _sieve(bound):
+        if g == 1:
+            return
+        if g % p == 0:
+            g //= p
+            yield p
 
 
 def _small_factor(N: int) -> int | None:
-    """The least prime p < N dividing N >= 2 among SMALL_PRIMES or, from
-    SPECIAL_FORM_BITS on, among the primes below 10^5; None if there is
-    none.  is_prime, and the search before a Proth test on C(n), screen by
-    it before any exponentiation."""
-    for p in SMALL_PRIMES:
-        if N % p == 0:
-            return p if p < N else None
-    if N.bit_length() >= SPECIAL_FORM_BITS:
-        return _screen_prime(N)
-    return None
+    """The least prime p < N dividing N >= 2 among the primes up to 2000
+    or, from SPECIAL_FORM_BITS on, up to 10^5; None if there is none.
+    is_prime, and the search before a Proth test on C(n), screen by it
+    before any exponentiation."""
+    bound = 100_000 if N.bit_length() >= SPECIAL_FORM_BITS else 2000
+    p = next(_small_prime_divisors(N, bound), N)
+    return p if p < N else None
 
 
 def _proth_pow(a: int, e: int, k: int, s: int) -> int:
@@ -112,6 +115,15 @@ def _proth_pow(a: int, e: int, k: int, s: int) -> int:
         if bit == "1":
             x = reduce(x * a)
     return x
+
+
+def _power(a: int, e: int, N: int, within: tuple[int, int] | None) -> int:
+    """a^e mod N: by _proth_pow modulo M = k*2^s + 1 when within = (k, s),
+    N divides M and N has SPECIAL_FORM_BITS or more, by pow otherwise.
+    The one place that chooses the power routine."""
+    if within is None or N.bit_length() < SPECIAL_FORM_BITS:
+        return pow(a, e, N)
+    return _proth_pow(a, e, *within) % N
 
 
 @dataclass(frozen=True)
@@ -156,17 +168,14 @@ def _mr_composite_witness(
 ) -> bool:
     """True when base a proves n composite (n odd, n-1 = d*2^s, d odd).
 
-    With within = (k, t), n divides M = k*2^t + 1 and every power is taken
-    modulo M by _proth_pow, then reduced modulo n for the comparisons with
-    1 and n-1; the squarings stay correct modulo n since n divides M."""
-    def power(x: int, e: int) -> int:
-        return pow(x, e, n) if within is None else _proth_pow(x, e, *within) % n
-
-    x = power(a, d)
+    With within = (k, t), n divides M = k*2^t + 1 and _power may take each
+    power modulo M, reducing it modulo n for the comparisons with 1 and
+    n-1; the squarings stay correct modulo n since n divides M."""
+    x = _power(a, d, n, within)
     if x == 1 or x == n - 1:
         return False
     for _ in range(s - 1):
-        x = power(x, 2)
+        x = _power(x, 2, n, within)
         if x == n - 1:
             return False
     return True
@@ -202,8 +211,6 @@ def is_prime(N: int, *, within: tuple[int, int] | None = None) -> PrimalityVerdi
         return PrimalityVerdict(N, COMPOSITE, "trial", factor=p)
     if N < SMALL_PRIMES[-1] ** 2:
         return PrimalityVerdict(N, PRIME, "trial")
-    if N.bit_length() < SPECIAL_FORM_BITS:
-        within = None
 
     d, s = N - 1, 0
     while d % 2 == 0:
@@ -289,8 +296,8 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
     the certificate, and for it any result other than -1 proves N
     composite; so does (a/N) = 0, since then a divides N.  Bases run over
     the first PROTH_BASE_CAP primes; if none of them has (a/N) = -1 the
-    verdict falls back to is_prime (probable at best for huge N).  From
-    SPECIAL_FORM_BITS on, the power is taken by _proth_pow.
+    verdict falls back to is_prime (probable at best for huge N).  The
+    power is taken by _power, in special form from SPECIAL_FORM_BITS on.
     """
     if n1 < 1 or n1 % 2 == 0:
         raise ValueError(f"n1 must be odd and positive, got {n1}")
@@ -300,7 +307,6 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
         raise ValueError(f"Proth condition violated: {n1} >= 2^{n2}")
     N = (n1 << n2) + 1
     half = (N - 1) >> 1
-    special = N.bit_length() >= SPECIAL_FORM_BITS
     for a in SMALL_PRIMES[:PROTH_BASE_CAP]:
         if a % N == 0:  # only possible for tiny N
             continue
@@ -309,7 +315,7 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
             continue
         if symbol == 0:  # a < N shares the prime a with N
             return PrimalityVerdict(N, COMPOSITE, "proth", witness=a)
-        x = _proth_pow(a, half, n1, n2) if special else pow(a, half, N)
+        x = _power(a, half, N, (n1, n2))
         status = PRIME if x == N - 1 else COMPOSITE
         return PrimalityVerdict(N, status, "proth", witness=a)
     return is_prime(N, within=(n1, n2))

@@ -19,7 +19,7 @@ def factored_corpus():
     by product round-trip; every factor is below the deterministic
     primality threshold."""
     corpus = {}
-    budget = FactorBudget(trial_bound=10_000, rho_iterations=1 << 21)
+    budget = FactorBudget(rho_iterations=1 << 21)
     for n in range(1, CORPUS_MAX + 1):
         f = general_factor(cullen(n).value, budget)
         assert f.is_complete, f"C({n}) did not factor within the corpus budget"

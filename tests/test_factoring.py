@@ -1,4 +1,5 @@
 import logging
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,13 @@ from cullen_lehmer import (
 from cullen_lehmer.factoring import (
     COMPLETE,
     PARTIAL,
+    TRIAL_BOUND,
     VERDICT_PRIME,
     VERDICT_SQUAREFREE,
     VERDICT_STRUCTURAL,
     VERDICT_TOTIENT,
 )
-from cullen_lehmer.primality import SPECIAL_FORM_BITS
+from cullen_lehmer.primality import SPECIAL_FORM_BITS, _sieve
 
 ALL_VERDICTS = {VERDICT_PRIME, VERDICT_SQUAREFREE, VERDICT_STRUCTURAL, VERDICT_TOTIENT}
 
@@ -70,10 +72,11 @@ class TestGeneralFactor:
         assert c1.as_dict() == c2.as_dict()
 
     def test_budget_exhaustion_goes_partial(self):
-        # a semiprime of two Mersenne primes is out of reach for 64 rho steps
+        # a semiprime of two Mersenne primes is out of reach for 64 rho
+        # steps; neither has a prime factor below TRIAL_BOUND
         p, q = 2**61 - 1, 2**89 - 1
         n = p * q
-        budget = FactorBudget(trial_bound=100, rho_iterations=64)
+        budget = FactorBudget(rho_iterations=64)
         counter = WorkCounter()
         f = general_factor(n, budget, counter)
         assert f.status == PARTIAL
@@ -83,6 +86,74 @@ class TestGeneralFactor:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             general_factor(1)
+
+
+def trial_division(N):
+    """The reference trial stage: each prime below TRIAL_BOUND in turn,
+    one % at a time, until p^2 exceeds what is left.  Returns the primes
+    found, the remainder and the number of primes tried."""
+    found, m, tried = {}, N, 0
+    for p in _sieve(TRIAL_BOUND - 1):
+        if p * p > m:
+            break
+        tried += 1
+        while m % p == 0:
+            found[p] = found.get(p, 0) + 1
+            m //= p
+    return found, m, tried
+
+
+class TestTrialStage:
+    """general_factor's gcd-based trial stage against plain trial division.
+    With no rho budget the remainder is either listed as a prime or left as
+    the cofactor, so the reference fixes the whole result."""
+
+    @staticmethod
+    def assert_matches_reference(N):
+        from cullen_lehmer import is_prime
+
+        found, m, tried = trial_division(N)
+        if m > 1 and is_prime(m).probably_prime:
+            found[m], m = 1, 1
+        counter = WorkCounter()
+        f = general_factor(N, FactorBudget(rho_iterations=0), counter)
+        assert f.factors == tuple(sorted(found.items())), N
+        assert f.cofactor == m, N
+        assert counter.trial_divisions == tried, N
+
+    def test_search_cofactors(self):
+        for n in range(1, 1011):
+            cofactor = lehmer_constrained_factor(n).factorization.cofactor
+            if cofactor > 1:
+                self.assert_matches_reference(cofactor)
+
+    @given(st.one_of(
+        st.integers(min_value=2, max_value=(1 << 200) - 1),
+        # a product of primes below TRIAL_BOUND times a rest; below 2^200
+        st.builds(
+            lambda ps, rest: prod(ps) * rest,
+            st.lists(st.sampled_from(_sieve(TRIAL_BOUND - 1)), max_size=12),
+            st.integers(min_value=2, max_value=1 << 32),
+        ),
+    ))
+    @settings(max_examples=400, deadline=None)
+    def test_drawn_values(self, N):
+        self.assert_matches_reference(N)
+
+    @pytest.mark.parametrize("N", [
+        2, 3, 4, 97, 9967, 9973,                         # primes below 10^4
+        2**64, 3**40, 7**3, 9973**2, 9973**5,             # p^k
+        2 * 10_007, 9973 * 10_007, 97 * (2**61 - 1),      # p < 10^4 < q
+        10_007**2, 10_007 * 10_009,                       # nothing below 10^4
+    ] + [
+        # the remainder falls below p^2 partway: 2^a * 3^b leaves 9973,
+        # a square of it, or 1
+        2**a * 3**b * 9973**c
+        for a in range(4) for b in range(3) for c in range(3)
+        if 2**a * 3**b * 9973**c > 1
+    ])
+    def test_edges(self, N):
+        self.assert_matches_reference(N)
 
 
 class TestEulerPhi:
@@ -170,23 +241,27 @@ class TestLehmerConstrainedFactor:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """(args, kwargs) of every proth_test, is_prime, Miller-Rabin base
-        and strong Lucas call, in order."""
+        """(args, kwargs) of every proth_test, is_prime, Miller-Rabin base,
+        strong Lucas and special-form power call, in order, by name; under
+        "order", (name, args) of all of them in one sequence."""
         import cullen_lehmer.factoring as factoring
         import cullen_lehmer.primality as primality
 
         seen = {"proth_test": [], "is_prime": [], "_mr_composite_witness": [],
-                "_strong_lucas_prp": []}
+                "_strong_lucas_prp": [], "_proth_pow": []}
+        order = []
         for name, log in seen.items():
             original = getattr(primality, name)
 
-            def counted(*args, _original=original, _log=log, **kwargs):
+            def counted(*args, _original=original, _log=log, _name=name, **kwargs):
                 _log.append((args, kwargs))
+                order.append((_name, args))
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(primality, name, counted)
             if hasattr(factoring, name):
                 monkeypatch.setattr(factoring, name, counted)
+        seen["order"] = order
         return seen
 
     @pytest.mark.parametrize("n, proth_calls", [
@@ -239,10 +314,22 @@ class TestLehmerConstrainedFactor:
         assert all(kwargs == {"within": (c.n1, c.n2)} for _, kwargs in calls["is_prime"])
         assert [args[0] for args, _ in calls["_mr_composite_witness"]] == mr_bases
         assert len(calls["_strong_lucas_prp"]) == lucas_calls
-        # from SPECIAL_FORM_BITS on, Miller-Rabin exponentiates in special form
-        for args, _ in calls["_mr_composite_witness"]:
-            N, within = args[3], args[4] if len(args) > 4 else None
-            assert within == ((c.n1, c.n2) if N.bit_length() >= SPECIAL_FORM_BITS else None)
+        # every Miller-Rabin and Proth power modulo a value of
+        # SPECIAL_FORM_BITS or more is taken in special form, modulo C(n),
+        # and none below: the call after each test is its first power
+        order = calls["order"]
+        for (name, args), (after, power) in zip(order, order[1:] + [(None, ())]):
+            if name == "_mr_composite_witness":
+                N, first = args[3], args[:2]
+            elif name == "proth_test":
+                N = (args[0] << args[1]) + 1
+                first = power[:1] + ((N - 1) >> 1,)
+            else:
+                continue
+            special = N.bit_length() >= SPECIAL_FORM_BITS
+            assert (after == "_proth_pow") == special, (name, N.bit_length())
+            if special:
+                assert power == first + (c.n1, c.n2)
 
     def test_prime_cullen_value_one_proth_call(self, calls):
         c = cullen(141)

@@ -24,8 +24,9 @@ from cullen_lehmer.primality import (
     SPECIAL_FORM_BITS,
     _mr_composite_witness,
     _proth_pow,
-    _screen_prime,
     _sieve,
+    _small_factor,
+    _small_prime_divisors,
     _strong_lucas_prp,
 )
 
@@ -269,10 +270,17 @@ class TestSpecialForm:
             is_prime(N, within=within)
 
     def test_screen_equals_trial_division(self):
-        screen = [p for p in _sieve(100_000) if p > 2000]
-        for n in range(1, 1501):
-            value = cullen(n).value
-            assert _screen_prime(value) == next((p for p in screen if value % p == 0), None), n
+        # the gcd screen against plain division, at both of _small_factor's
+        # bounds; C(1) = 3 checks that N itself is no factor
+        for bound in (2000, 100_000):
+            primes = _sieve(bound)
+            for n in range(1, 1501):
+                value = cullen(n).value
+                plain = [p for p in primes if value % p == 0]
+                assert list(_small_prime_divisors(value, bound)) == plain, (n, bound)
+                if (value.bit_length() >= SPECIAL_FORM_BITS) == (bound == 100_000):
+                    least = next((p for p in plain if p < value), None)
+                    assert _small_factor(value) == least, n
 
     def test_screen_hit_factor_is_prime(self):
         # the gcd is N itself when every prime of N lies in the screen
