@@ -21,6 +21,7 @@ from .factoring import (
     RefutationWitness,
     WorkCounter,
     euler_phi,
+    extend_factorization,
     general_factor,
     lehmer_constrained_factor,
     np_bound_check,

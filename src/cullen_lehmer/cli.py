@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .cullen import cullen
 from .errors import BudgetError, FalsificationError
 from .factoring import (
     DEFAULT_BUDGET,
@@ -32,7 +31,7 @@ from .factoring import (
     LehmerSearchResult,
     VERDICT_PRIME,
     WorkCounter,
-    general_factor,
+    extend_factorization,
     lehmer_constrained_factor,
 )
 from .predicates import RatioReport, is_carmichael, lehmer_ratio
@@ -152,7 +151,8 @@ def build_parser() -> _Parser:
     p.add_argument("n_min", type=int)
     p.add_argument("n_max", type=int)
 
-    p = sub.add_parser("factor", parents=[common], help="factor one Cullen number")
+    p = sub.add_parser("factor", parents=[common],
+                       help="factor one Cullen number: check's factor columns")
     p.add_argument("n", type=int)
 
     return parser
@@ -181,46 +181,23 @@ class _Record:
 def _compute(n: int, budget: FactorBudget, cached: Factorization | None) -> _Record:
     """Compute index n once.
 
-    cached, when given, replaces the general-factoring step but never the
-    structured search, which is what produces the verdict.
+    cached, when given and complete, replaces the general-factoring step
+    but never the structured search, which is what produces the verdict.
     """
     counter = WorkCounter()
     search = lehmer_constrained_factor(n)
     from_cache = False
     if search.verdict == VERDICT_PRIME:
         fact = search.factorization
-    elif cached is not None:
+    elif cached is not None and cached.is_complete:
         fact, from_cache = cached, True
     else:
-        fact = _extend_factorization(search, budget, counter)
+        fact = extend_factorization(search, budget, counter)
     ratio = carmichael = None
     if fact.is_complete:
         ratio = lehmer_ratio(n, fact)
         carmichael = is_carmichael(fact.value, fact)
     return _Record(search, fact, from_cache, counter, ratio, carmichael)
-
-
-def _extend_factorization(
-    result: LehmerSearchResult, budget: FactorBudget, counter: WorkCounter
-) -> Factorization:
-    """Push the structured search state toward completeness with the
-    general engine, within budget."""
-    fact = result.factorization
-    if fact.is_complete:
-        return fact
-    c = cullen(result.n)
-    sub = general_factor(fact.cofactor, budget, counter, within=(c.n1, c.n2),
-                         verdict=result.cofactor_verdict)
-    merged: dict[int, int] = dict(fact.factors)
-    for p, k in sub.factors:
-        merged[p] = merged.get(p, 0) + k
-    return Factorization(
-        value=fact.value,
-        factors=tuple(sorted(merged.items())),
-        status=sub.status,
-        cofactor=sub.cofactor,
-        probable=sub.probable,
-    )
 
 
 def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
@@ -291,8 +268,6 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
-    if isinstance(value, dict):
-        return json.dumps(value, separators=(",", ":"))
     return str(value)
 
 
@@ -300,32 +275,26 @@ def _csv_cell(value) -> str:
 # row schemas: each command's Emitter keeps its own fields from these dicts
 
 
-def _columns(n: int, fact: Factorization, from_cache: bool, counter: WorkCounter) -> dict:
-    """The columns every row command can report about one factorization."""
+def _scan_row(record: _Record) -> dict:
+    """Every column of the scan schema; factor's are a subset of them."""
+    search, fact = record.search, record.fact
     return {
         "kind": "row",
-        "n": n,
+        "n": record.n,
         "cullen_bits": fact.value.bit_length(),
-        "factors": fact.summary(),
-        "factor_status": fact.status,
-        "cofactor": fact.cofactor,
-        "probable": list(fact.probable),
-        "from_cache": from_cache,
-        "trial_divisions": counter.trial_divisions,
-        "rho_iterations": counter.rho_iterations,
-    }
-
-
-def _scan_row(record: _Record) -> dict:
-    search = record.search
-    return {
-        **_columns(record.n, record.fact, record.from_cache, record.counter),
         "status": "prime" if search.verdict == VERDICT_PRIME else "composite",
         "verdict": search.verdict,
         "structured_divisors": [sp.value for sp in search.structured_divisors],
         "witness": search.witness.detail,
+        "factors": fact.summary(),
+        "factor_status": fact.status,
+        "cofactor": fact.cofactor,
+        "probable": list(fact.probable),
         "ratio": str(record.ratio.ratio) if record.ratio else None,
         "carmichael": record.carmichael,
+        "from_cache": record.from_cache,
+        "trial_divisions": record.counter.trial_divisions,
+        "rho_iterations": record.counter.rho_iterations,
     }
 
 
@@ -353,9 +322,10 @@ def _cache_params(cache: FactorCache) -> dict:
 
 
 def _cmd_rows(args, out) -> int:
-    """check, scan, ratio and carmichael: one record per index, projected to
-    the scan schema or, with a summary, to the research schema."""
-    if args.command == "check":
+    """check, scan, factor, ratio and carmichael: one record per index,
+    projected to the scan schema, to its factor columns or, with a summary,
+    to the research schema."""
+    if args.command in ("check", "factor"):
         n_min = n_max = args.n
     else:
         n_min, n_max = args.n_min, args.n_max
@@ -363,7 +333,9 @@ def _cmd_rows(args, out) -> int:
         raise UsageError("need 1 <= n_min <= n_max")
     budget, workers, cache = _resolve(args)
     research = args.command in ("ratio", "carmichael")
-    emitter = Emitter(out, args.csv, RESEARCH_FIELDS if research else SCAN_FIELDS)
+    fields = {"factor": FACTOR_FIELDS, "ratio": RESEARCH_FIELDS,
+              "carmichael": RESEARCH_FIELDS}.get(args.command, SCAN_FIELDS)
+    emitter = Emitter(out, args.csv, fields)
     emitter.header(args.command, {"n_min": n_min, "n_max": n_max,
                                   "budget": budget.rho_iterations, "workers": workers,
                                   **_cache_params(cache)})
@@ -421,25 +393,6 @@ def _cmd_product_bound(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_factor(args, out) -> int:
-    if args.n < 1:
-        raise UsageError("need n >= 1")
-    budget, _, cache = _resolve(args)
-    emitter = Emitter(out, args.csv, FACTOR_FIELDS)
-    emitter.header("factor", {"n": args.n, "budget": budget.rho_iterations,
-                              **_cache_params(cache)})
-    counter = WorkCounter()
-    fact = cache.get(args.n)
-    from_cache = fact is not None
-    if not from_cache:
-        c = cullen(args.n)
-        fact = general_factor(c.value, budget, counter, within=(c.n1, c.n2))
-        if fact.is_complete:
-            cache.put(args.n, fact)
-    emitter.row(_columns(args.n, fact, from_cache, counter))
-    return EXIT_OK
-
-
 COMMANDS = {
     "check": _cmd_rows,
     "scan": _cmd_rows,
@@ -448,7 +401,7 @@ COMMANDS = {
     "bounds": _cmd_bounds,
     "pigeonhole": _cmd_pigeonhole,
     "product-bound": _cmd_product_bound,
-    "factor": _cmd_factor,
+    "factor": _cmd_rows,
 }
 
 

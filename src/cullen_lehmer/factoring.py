@@ -6,8 +6,9 @@ for the totient-divisibility question: a prime p with p-1 dividing
 C(n)-1 = n1*2^n2 must equal m*2^e + 1 with m an odd divisor of n and
 e <= n2, so dividing every such prime out of C(n) decides the verdict.
 The general engine (trial division plus Brent's variant of Pollard rho)
-exists only for the open-problem scans where any factorization will do and
-a partial result is acceptable.
+only describes the rest: extend_factorization runs it on what the search
+leaves, for the open-problem scans where any factorization will do and a
+partial result is acceptable.
 """
 
 from __future__ import annotations
@@ -120,12 +121,6 @@ class WorkCounter:
 
     trial_divisions: int = 0
     rho_iterations: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "trial_divisions": self.trial_divisions,
-            "rho_iterations": self.rho_iterations,
-        }
 
 
 def _brent_rho(n: int, c: int, max_iters: int, counter: WorkCounter) -> int | None:
@@ -271,7 +266,7 @@ class LehmerSearchResult:
     witness: RefutationWitness
     factorization: Factorization  # search state; complete iff the cofactor reached 1
     # primality of factorization.cofactor when the search decided it (a
-    # cofactor equal to C(n) is composite), for general_factor to reuse
+    # cofactor equal to C(n) is composite), for extend_factorization to reuse
     cofactor_verdict: PrimalityVerdict | None = None
 
 
@@ -356,7 +351,8 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
 
     remaining = c.value
     divisors: list[StructuredPrime] = []
-    factors: list[tuple[int, int]] = []
+    factors: list[tuple[int, int]] = []  # ascending, as the hits are
+    repeated = None
     for value, m, e in hits:
         if remaining == 1:
             break
@@ -371,27 +367,18 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
         factors.append((value, mult))
         divisors.append(StructuredPrime(m, e, value))
         if mult >= 2:
-            fact = Factorization(
-                c.value,
-                tuple(sorted(factors)),
-                COMPLETE if remaining == 1 else PARTIAL,
-                cofactor=remaining,
-            )
-            witness = RefutationWitness(
-                kind="repeated_prime",
-                detail=f"{value}^2 divides C({n}), so C({n}) is not squarefree",
-                repeated_prime=value,
-            )
-            return LehmerSearchResult(
-                n, tuple(divisors), VERDICT_SQUAREFREE, witness, fact
-            )
+            repeated = value
+            break
 
-    fact = Factorization(
-        c.value,
-        tuple(sorted(factors)),
-        COMPLETE if remaining == 1 else PARTIAL,
-        cofactor=remaining,
-    )
+    status = COMPLETE if remaining == 1 else PARTIAL
+    fact = Factorization(c.value, tuple(factors), status, cofactor=remaining)
+    if repeated is not None:
+        witness = RefutationWitness(
+            kind="repeated_prime",
+            detail=f"{repeated}^2 divides C({n}), so C({n}) is not squarefree",
+            repeated_prime=repeated,
+        )
+        return LehmerSearchResult(n, tuple(divisors), VERDICT_SQUAREFREE, witness, fact)
     if remaining > 1:
         # a cofactor equal to C(n) is proven composite by head already
         verdict = head if remaining == c.value else is_prime(remaining, within=(c.n1, c.n2))
@@ -417,6 +404,28 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
         f"C({n}) is composite, squarefree, and phi(C({n})) divides C({n})-1: "
         "this contradicts the verified theorem",
     )
+
+
+def extend_factorization(
+    result: LehmerSearchResult, budget: FactorBudget, counter: WorkCounter
+) -> Factorization:
+    """The search's factorization of C(n), pushed toward completeness.
+
+    A complete search state is returned as it is.  Otherwise general_factor
+    runs on the cofactor within C(n)'s special form, reusing the search's
+    cofactor_verdict so that no value is tested twice, and its primes are
+    merged with the structured ones."""
+    fact = result.factorization
+    if fact.is_complete:
+        return fact
+    c = cullen(result.n)
+    sub = general_factor(fact.cofactor, budget, counter, within=(c.n1, c.n2),
+                         verdict=result.cofactor_verdict)
+    merged = dict(fact.factors)
+    for p, k in sub.factors:
+        merged[p] = merged.get(p, 0) + k
+    return Factorization(fact.value, tuple(sorted(merged.items())), sub.status,
+                         sub.cofactor, sub.probable)
 
 
 def _cofactor_witness(

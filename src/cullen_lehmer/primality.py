@@ -9,8 +9,9 @@ and nothing in the theorem pipeline depends on that verdict.
 
 From SPECIAL_FORM_BITS on, exponentiations modulo a divisor of some
 k*2^s + 1 with small k (a Cullen number and its cofactors) reduce modulo
-that special form instead of dividing, and values are screened by the
-primes below 10^5 with one gcd before any exponentiation.
+that special form instead of dividing, and a value that no prime below
+2000 divides is screened by the primes below 10^5 with one more gcd before
+any exponentiation.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ PROTH_BASE_CAP = 64
 # Bit length of the modulus from which the special-form reduction beats the
 # builtin pow on a Proth exponentiation (0.88x at 409 bits, 1.05x at 509,
 # 1.2x at 610, 1.6x at 1010, 4.5x at 5013; 2 vCPUs, CPython 3.11.7, no
-# gmpy2), and from which one gcd with the primes below 10^5 screens a value
-# before any exponentiation.
+# gmpy2), and from which a second gcd, with the primes below 10^5, screens a
+# value before any exponentiation.
 SPECIAL_FORM_BITS = 600
 
 
@@ -83,9 +84,12 @@ def _small_factor(N: int) -> int | None:
     """The least prime p < N dividing N >= 2 among the primes up to 2000
     or, from SPECIAL_FORM_BITS on, up to 10^5; None if there is none.
     is_prime, and the search before a Proth test on C(n), screen by it
-    before any exponentiation."""
-    bound = 100_000 if N.bit_length() >= SPECIAL_FORM_BITS else 2000
-    p = next(_small_prime_divisors(N, bound), N)
+    before any exponentiation.  The 2.8-kbit product of the primes up to
+    2000 is tried first, so a value with such a factor never pays the
+    141-kbit gcd."""
+    p = next(_small_prime_divisors(N, 2000), N)
+    if p == N and N.bit_length() >= SPECIAL_FORM_BITS:
+        p = next(_small_prime_divisors(N, 100_000), N)
     return p if p < N else None
 
 

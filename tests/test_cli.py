@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from cullen_lehmer import cullen
-from cullen_lehmer.cli import EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, _resolve, build_parser, main
+from cullen_lehmer.cli import (
+    EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, FACTOR_FIELDS, _resolve, build_parser, main,
+)
 from cullen_lehmer.errors import FalsificationError
 
 from conftest import body_of, parse_jsonl, run_cli
@@ -241,6 +243,20 @@ class TestDeterminism:
         _, rows, _, _ = parse_jsonl(out)
         assert rows[0]["from_cache"] is True
 
+    @pytest.mark.parametrize("command", ["check", "factor"])
+    def test_partial_cache_entry_does_not_replace_factoring(self, command, tmp_path):
+        # a valid partial line is kept by the cache but not trusted by a row:
+        # the row factors C(6) itself and reports no cached state
+        cache = tmp_path / "c.txt"
+        cache.write_text("6\tpartial\t5\t77\n", encoding="utf-8")
+        out = io.StringIO()
+        assert main([command, "6", "--budget", "0", "--cache", str(cache)], out=out) == EXIT_OK
+        header, rows, _, _ = parse_jsonl(out.getvalue())
+        assert header["params"]["cache_entries"] == 1
+        row = rows[0]
+        assert (row["factors"], row["factor_status"], row["cofactor"]) == ("5 7 11", "complete", 1)
+        assert row["from_cache"] is False
+
     @pytest.mark.parametrize("line", [
         "6\tcomplete\t11 35\t1",    # 35 is not prime; the ratio would read 85
         "6\tpartial\t5 7 11\t1",    # partial needs a cofactor above 1
@@ -264,10 +280,15 @@ class TestDeterminism:
         assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text()
 
     def test_check_body_equals_scan_body(self, tmp_path):
-        for n in (1, 6, 141):
+        # and factor's row is check's, restricted to FACTOR_FIELDS
+        for n in (1, 2, 6, 10, 141, 604):
             check = run_cli("check", n, "--cache", tmp_path / f"c{n}.txt")[1]
             scan = run_cli("scan", n, n, "--cache", tmp_path / f"s{n}.txt")[1]
+            factor = run_cli("factor", n, "--cache", tmp_path / f"f{n}.txt")[1]
             assert body_of(check) == body_of(scan)
+            row = json.loads(body_of(check))
+            projected = {f: row[f] for f in FACTOR_FIELDS}
+            assert body_of(factor) == json.dumps(projected, separators=(",", ":")) + "\n", n
 
 
 class TestGoldenBodies:

@@ -282,6 +282,29 @@ class TestSpecialForm:
                     least = next((p for p in plain if p < value), None)
                     assert _small_factor(value) == least, n
 
+    @pytest.mark.parametrize("n, least, bounds", [
+        (141, None, [2000]),             # 155 bits, prime: no second stage
+        (590, 3, [2000]),                # 600 bits
+        (600, 601, [2000]),
+        (612, 31, [2000]),
+        (609, None, [2000, 100_000]),    # 619 bits, no prime below 10^5
+    ])
+    def test_screen_stages(self, n, least, bounds, monkeypatch):
+        # the product of the primes up to 2000 first; the one up to 10^5
+        # only from SPECIAL_FORM_BITS on, when the first finds no prime
+        import cullen_lehmer.primality as primality
+
+        asked = []
+        real = primality._prime_product
+
+        def recorded(bound):
+            asked.append(bound)
+            return real(bound)
+
+        monkeypatch.setattr(primality, "_prime_product", recorded)
+        assert _small_factor(cullen(n).value) == least
+        assert asked == bounds
+
     def test_screen_hit_factor_is_prime(self):
         # the gcd is N itself when every prime of N lies in the screen
         # range; the verdict names a prime of it, not N
