@@ -202,12 +202,15 @@ def _compute(n: int, budget: FactorBudget, cached: Factorization | None) -> _Rec
 
 def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
     """Yield a _Record per index in ascending n, caching each new complete
-    factorization; independent indices may be computed by a process pool."""
+    factorization unless the cache already holds a complete one (a partial
+    entry is superseded); independent indices may be computed by a process
+    pool."""
 
     def stored(record: _Record) -> _Record:
-        n = record.n
-        if record.fact.is_complete and not record.from_cache and cache.get(n) is None:
-            cache.put(n, record.fact)
+        cached = cache.get(record.n)
+        superseded = cached is None or not cached.is_complete
+        if record.fact.is_complete and not record.from_cache and superseded:
+            cache.put(record.n, record.fact)
         return record
 
     if workers <= 1 or len(ns) <= 1:

@@ -126,11 +126,13 @@ class PigeonholePair:
 def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
     """Construct the small-combination pair for (n, np).
 
-    Enumerates L(a, b) = a*n + b*np over the (N+1)^2 grid with
-    N = floor(sqrt(n / ln n)), takes the closest pair of distinct grid
-    points by |L difference|, gcd-reduces the difference and normalizes the
-    sign to u >= 0 (v > 0 when u = 0).  Tie-break among closest pairs:
-    lexicographically smallest (u, |v|, v) after reduction.
+    The differences of two points of the grid 0..N x 0..N, with
+    N = floor(sqrt(n / ln n)), are exactly the vectors with |u|, |v| <= N.
+    So the pair is one minimum over that box, taken sign-normalized
+    (u >= 0, and v > 0 when u = 0), of the key (|u*n + v*np|, u, |v|, v),
+    in constant memory.  The minimiser is primitive: dividing (u, v) by a
+    common factor g > 1 would shrink a nonzero |combo|, and at combo 0 it
+    would shrink u, or |v| when u = 0, which the tie-break prefers.
 
     The proof regime is n >= 30, where both size bounds
     max(|u|, |v|) <= sqrt(n/ln n) and |combo| < 3*sqrt(n ln n) are
@@ -142,38 +144,15 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
     if not 1 <= np_ <= n:
         raise ValueError(f"np must be in 1..n, got {np_}")
     N = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for a in range(N + 1):
-        base = a * n
-        for b in range(N + 1):
-            buckets.setdefault(base + b * np_, []).append((a, b))
-
-    # d* is the least |L difference| between distinct grid points: 0 when
-    # two points share a value, else the smallest gap between values
-    svals = sorted(buckets)
-    dstar = 0 if len(svals) < (N + 1) ** 2 else min(y - x for x, y in zip(svals, svals[1:]))
-    candidates = [
-        _normalize(p1, p2)
-        for x, group in buckets.items()
-        for p1 in group
-        for p2 in buckets.get(x + dstar, ())
-        if p1 != p2
-    ]
-    u, v = min(candidates, key=lambda t: (t[0], abs(t[1]), t[1]))
+    _, u, _, v = min(
+        (abs(u * n + v * np_), u, abs(v), v)
+        for u in range(N + 1)
+        for v in range(-N if u else 1, N + 1)
+    )
     pair = PigeonholePair(n, np_, u, v, u * n + v * np_)
     if n >= 30:
         check_pair_bounds(pair)
     return pair
-
-
-def _normalize(p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int]:
-    """The reduced, sign-normalized difference p2 - p1; the pair (p2, p1)
-    maps to the same (u, v)."""
-    u, v = p2[0] - p1[0], p2[1] - p1[1]
-    if u < 0 or (u == 0 and v < 0):
-        u, v = -u, -v
-    g = gcd(abs(u), abs(v))
-    return u // g, v // g
 
 
 def check_pair_bounds(pair: PigeonholePair) -> None:

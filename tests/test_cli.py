@@ -246,16 +246,21 @@ class TestDeterminism:
     @pytest.mark.parametrize("command", ["check", "factor"])
     def test_partial_cache_entry_does_not_replace_factoring(self, command, tmp_path):
         # a valid partial line is kept by the cache but not trusted by a row:
-        # the row factors C(6) itself and reports no cached state
+        # the row factors C(6) itself, reports no cached state and stores the
+        # complete factorization, which the next run reads back
         cache = tmp_path / "c.txt"
         cache.write_text("6\tpartial\t5\t77\n", encoding="utf-8")
-        out = io.StringIO()
-        assert main([command, "6", "--budget", "0", "--cache", str(cache)], out=out) == EXIT_OK
-        header, rows, _, _ = parse_jsonl(out.getvalue())
-        assert header["params"]["cache_entries"] == 1
-        row = rows[0]
-        assert (row["factors"], row["factor_status"], row["cofactor"]) == ("5 7 11", "complete", 1)
-        assert row["from_cache"] is False
+        rows = []
+        for _ in range(2):
+            out = io.StringIO()
+            assert main([command, "6", "--budget", "0", "--cache", str(cache)], out=out) == EXIT_OK
+            header, body, _, _ = parse_jsonl(out.getvalue())
+            assert header["params"]["cache_entries"] == 1
+            rows += body
+        for row in rows:
+            assert (row["factors"], row["factor_status"], row["cofactor"]) == ("5 7 11", "complete", 1)
+        assert [row["from_cache"] for row in rows] == [False, True]
+        assert cache.read_text(encoding="utf-8") == "6\tpartial\t5\t77\n6\tcomplete\t5 7 11\t1\n"
 
     @pytest.mark.parametrize("line", [
         "6\tcomplete\t11 35\t1",    # 35 is not prime; the ratio would read 85

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -109,6 +110,29 @@ class TestPigeonholePair:
             for np_ in range(1, n + 1):
                 pair = pigeonhole_pair(n, np_)
                 assert (pair.u, pair.v) == oracle_pair(n, np_), (n, np_)
+
+    @pytest.mark.parametrize("n, np_, expected", [
+        (93000, 46500, (1, -2, 0)),
+        (100000, 77777, (7, -9, 7)),
+        (599999, 299999, (1, -2, 1)),
+        (600000, 1, (0, 1, 1)),
+        (2000000, 12345, (1, -162, 110)),
+    ], ids=["93000-46500", "100000-77777", "599999-299999", "600000-1", "2000000-12345"])
+    def test_cascade_regime_pairs(self, n, np_, expected):
+        # cascade-regime indices, beyond the reach of the n <= 500 oracle
+        pair = pigeonhole_pair(n, np_)
+        assert (pair.u, pair.v, pair.combo) == expected
+
+    def test_memory_does_not_grow_with_n(self):
+        # the box has about 2*N^2 = 270,000 vectors here; none are held
+        pigeonhole_pair(2000000, 12345)  # warm-up: imports and interval caches
+        tracemalloc.start()
+        try:
+            pigeonhole_pair(2000000, 12345)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @given(
         st.integers(min_value=30, max_value=500),
