@@ -63,9 +63,10 @@ def within(x, target: Exact, tol: Exact) -> bool:
     return lo.b < ex.a and ex.b < hi.a
 
 
-def _round_certified(builder: Callable[[], object], rounding) -> int:
+def _round_certified(builder: Callable[[], object], rounding) -> tuple[int, object]:
     """Evaluate builder at escalating precision until both endpoints of its
-    enclosure round (mpmath.floor or mpmath.ceil) to the same integer."""
+    enclosure round (mpmath.floor or mpmath.ceil) to the same integer.
+    Returns that integer and the enclosure it was read from."""
     saved = iv.dps
     try:
         for dps in _ESCALATION_DPS:
@@ -73,19 +74,21 @@ def _round_certified(builder: Callable[[], object], rounding) -> int:
             x = builder()
             lo, hi = int(rounding(x.a)), int(rounding(x.b))
             if lo == hi:
-                return lo
+                return lo, x
     finally:
         iv.dps = saved
     raise PrecisionError("enclosure still ambiguous at maximum precision")
 
 
-def floor_certified(builder: Callable[[], object]) -> int:
+def floor_certified(builder: Callable[[], object]) -> tuple[int, object]:
     """floor of the real number enclosed by builder(), certified by the
-    two endpoints flooring identically."""
+    two endpoints flooring identically, and the enclosure that certified it."""
     return _round_certified(builder, mpmath.floor)
 
 
-def ceil_certified(builder: Callable[[], object]) -> int:
+def ceil_certified(builder: Callable[[], object]) -> tuple[int, object]:
+    """ceil of the real number enclosed by builder(), and the enclosure that
+    certified it."""
     return _round_certified(builder, mpmath.ceil)
 
 

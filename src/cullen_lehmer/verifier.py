@@ -129,10 +129,16 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
     The differences of two points of the grid 0..N x 0..N, with
     N = floor(sqrt(n / ln n)), are exactly the vectors with |u|, |v| <= N.
     So the pair is one minimum over that box, taken sign-normalized
-    (u >= 0, and v > 0 when u = 0), of the key (|u*n + v*np|, u, |v|, v),
-    in constant memory.  The minimiser is primitive: dividing (u, v) by a
-    common factor g > 1 would shrink a nonzero |combo|, and at combo 0 it
-    would shrink u, or |v| when u = 0, which the tie-break prefers.
+    (u >= 0, and v > 0 when u = 0), of the key (|u*n + v*np|, u, |v|, v).
+    The minimiser is primitive: dividing (u, v) by a common factor g > 1
+    would shrink a nonzero |combo|, and at combo 0 it would shrink u, or |v|
+    when u = 0, which the tie-break prefers.
+
+    The minimum is walked over u alone.  For fixed u >= 1, |u*n + v*np| is
+    convex in v with its real minimum at -u*n/np, so only v = floor(-u*n/np)
+    and that value + 1, clamped to -N..N, can reach it; both are tried, so a
+    tie at a half-integer still goes to the smaller (|v|, v).  For u = 0 the
+    key is least at v = 1.
 
     The proof regime is n >= 30, where both size bounds
     max(|u|, |v|) <= sqrt(n/ln n) and |combo| < 3*sqrt(n ln n) are
@@ -143,22 +149,26 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
         raise ValueError(f"need n >= 2 so ln n > 0, got {n}")
     if not 1 <= np_ <= n:
         raise ValueError(f"np must be in 1..n, got {np_}")
-    N = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
+    N, box = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
+
+    def nearest(u):
+        # floor(-u*n/np) <= -u, so only the lower end of -N..N can clamp
+        v = -u * n // np_
+        return (max(v, -N), max(v + 1, -N)) if u else (1,)
+
     _, u, _, v = min(
-        (abs(u * n + v * np_), u, abs(v), v)
-        for u in range(N + 1)
-        for v in range(-N if u else 1, N + 1)
+        (abs(u * n + v * np_), u, abs(v), v) for u in range(N + 1) for v in nearest(u)
     )
     pair = PigeonholePair(n, np_, u, v, u * n + v * np_)
     if n >= 30:
-        check_pair_bounds(pair)
+        check_pair_bounds(pair, box)
     return pair
 
 
-def check_pair_bounds(pair: PigeonholePair) -> None:
-    """Certify the two size bounds of a pair in the n >= 30 regime."""
+def check_pair_bounds(pair: PigeonholePair, box) -> None:
+    """Certify the two size bounds of a pair in the n >= 30 regime; box is
+    the enclosure of sqrt(n/ln n) that floor_certified returns with N."""
     n = pair.n
-    box = sqrt_i(enclose(n) / ln_i(n))
     if not surely_le(max(abs(pair.u), abs(pair.v)), box):
         raise FalsificationError(
             "pigeonhole",
@@ -222,18 +232,18 @@ def a_expression(n: int, m_p: int, n_p: int, u: int, v: int) -> AExpression:
             "C(n) to equal the structured prime itself",
         )
     numerator = value.numerator
-    bound_exp = ceil_certified(lambda: 6 * sqrt_i(enclose(n) * ln_i(n)))
+    bound_exp, exp = ceil_certified(lambda: 6 * sqrt_i(enclose(n) * ln_i(n)))
     if n >= 30:
-        _check_numerator_bound(numerator, n)
+        _check_numerator_bound(numerator, n, exp)
     return AExpression(n=n, m_p=m_p, n_p=n_p, u=u, v=v, value=value,
                        numerator=numerator, numerator_bound=1 << bound_exp)
 
 
-def _check_numerator_bound(numerator: int, n: int) -> None:
-    """Certify |numerator| < 2^(6*sqrt(n ln n)) via bit length against the
-    enclosure's endpoints; the in-between case compares exact log2."""
+def _check_numerator_bound(numerator: int, n: int, exp) -> None:
+    """Certify |numerator| < 2^(6*sqrt(n ln n)), exp being the enclosure of
+    the exponent, via bit length against its endpoints; the in-between case
+    compares exact log2."""
     bits = abs(numerator).bit_length()
-    exp = 6 * sqrt_i(enclose(n) * ln_i(n))
     if surely_lt(bits, exp):  # |num| < 2^bits <= 2^exp
         return
     if surely_gt(bits - 1, exp):  # |num| >= 2^(bits-1) >= 2^exp
@@ -404,19 +414,15 @@ def _gap_monotone_from(n: int) -> bool:
 
 
 def _log_ratio(x: int, base: int, shift: int = 0):
-    """The enclosure of shift + ln x/ln base and its certified floor, both
-    taken from one builder."""
-
-    def build():
-        return shift + ln_i(x) / ln_i(base)
-
-    return build(), floor_certified(build)
+    """The certified floor of shift + ln x/ln base and the enclosure it was
+    read from."""
+    return floor_certified(lambda: shift + ln_i(x) / ln_i(base))
 
 
 def _ln3_recount(name: str, claim: str, n: int, printed: str, expected_floor: int) -> CascadeStage:
     """k <= 5 + floor(ln n/ln 3): the five Fermat primes plus at most
     ln n/ln 3 factors with m_p > 1, with the printed decimal checked to 5e-5."""
-    ratio, floor = _log_ratio(n, 3)
+    floor, ratio = _log_ratio(n, 3)
     close = within(ratio, Fraction(printed), Fraction(5, 100_000))
     return CascadeStage(
         name=name,
@@ -534,8 +540,8 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
 
     # Stage 8: 3 must divide n.  Otherwise odd shape factors m_p > 1 are
     # products of primes >= 5, so at most ln n/ln 5 of them fit into n.
-    ratio5_93, floor5_93 = _log_ratio(93_000, 5)
-    ratio5_100k, floor5_100k = _log_ratio(100_000, 5)
+    floor5_93, ratio5_93 = _log_ratio(93_000, 5)
+    floor5_100k, ratio5_100k = _log_ratio(100_000, 5)
     count8 = floor5_93 + 5
     stages.append(
         CascadeStage(
@@ -566,7 +572,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
     # Stage 9: no prime q > 3 divides n.  With 3 | n (so the Fermat prime 3
     # is unavailable: C(n) = n*2^n + 1 = 1 mod 3), a q > 3 would leave at
     # most 1 + ln(93000/5)/ln 3 shape factors plus 4 Fermat primes.
-    ratio_q, floor_q = _log_ratio(18_600, 3, shift=1)
+    floor_q, ratio_q = _log_ratio(18_600, 3, shift=1)
     dec3 = within(ratio_q, Fraction("9.94849"), Fraction(5, 100_000))
     count9 = floor_q + 4
     stages.append(

@@ -318,6 +318,18 @@ class TestGoldenBodies:
         assert code == EXIT_OK
         assert hashlib.sha256(body_of(out).encode()).hexdigest() == digest
 
+    # the bound cascade's report prints mpmath interval endpoints as
+    # decimals; these digests were taken with mpmath 1.3.0
+    @pytest.mark.parametrize("args, digest", [
+        (("bounds",), "13d3067fff4b2fc4ce994804004c1251b14f721e1d88988d8a054ddf7994b944"),
+        (("bounds", "--cap", 10_000),
+         "a66ad81923b1b3819ac945b2b23798bc38a164266cf44804c4376c9f63381e16"),
+    ], ids=["bounds", "bounds-cap-10000"])
+    def test_report_body_digest(self, args, digest):
+        code, out, _ = run_cli(*args)
+        assert code == EXIT_OK
+        assert hashlib.sha256(body_of(out).encode()).hexdigest() == digest
+
 
 class TestPastTheDigitLimit:
     def test_check_row_past_the_limit(self, tmp_path, monkeypatch, int_digit_limit):

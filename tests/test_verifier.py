@@ -23,8 +23,22 @@ from cullen_lehmer import (
     pigeonhole_pair,
     two_three_product_bound,
 )
+import cullen_lehmer.verifier as verifier
+from cullen_lehmer.certified import ceil_certified, enclose, floor_certified, ln_i, sqrt_i
 from cullen_lehmer.factoring import VERDICT_PRIME
-from cullen_lehmer.verifier import check_pair_bounds
+from cullen_lehmer.verifier import _check_numerator_bound, check_pair_bounds
+
+
+def box_of(n):
+    """The certified enclosure of sqrt(n/ln n) behind the pair's N."""
+    _, box = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
+    return box
+
+
+def exponent_of(n):
+    """The certified enclosure of 6*sqrt(n ln n) behind the numerator bound."""
+    _, exp = ceil_certified(lambda: 6 * sqrt_i(enclose(n) * ln_i(n)))
+    return exp
 
 
 def oracle_pair(n, np_):
@@ -117,7 +131,9 @@ class TestPigeonholePair:
         (599999, 299999, (1, -2, 1)),
         (600000, 1, (0, 1, 1)),
         (2000000, 12345, (1, -162, 110)),
-    ], ids=["93000-46500", "100000-77777", "599999-299999", "600000-1", "2000000-12345"])
+        (100000000, 12345, (0, 1, 12345)),
+    ], ids=["93000-46500", "100000-77777", "599999-299999", "600000-1", "2000000-12345",
+            "100000000-12345"])
     def test_cascade_regime_pairs(self, n, np_, expected):
         # cascade-regime indices, beyond the reach of the n <= 500 oracle
         pair = pigeonhole_pair(n, np_)
@@ -145,7 +161,7 @@ class TestPigeonholePair:
         assert (pair.u, pair.v) != (0, 0)
         assert gcd(abs(pair.u), abs(pair.v)) == 1
         assert pair.combo == pair.u * n + pair.v * np_
-        check_pair_bounds(pair)  # raises on a violation
+        check_pair_bounds(pair, box_of(n))  # raises on a violation
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -162,6 +178,55 @@ class TestPigeonholePair:
             PigeonholePair(40, 11, 2, -6, 2 * 40 - 6 * 11)  # not coprime
         with pytest.raises(ValueError):
             PigeonholePair(40, 11, -1, 3, -7)  # sign normalization
+
+
+class TestCertifiedChecks:
+    def test_pair_outside_the_box_raises(self):
+        pair = PigeonholePair(40, 11, 5, -18, 2)  # |v| = 18 > sqrt(40/ln 40) = 3.29...
+        with pytest.raises(FalsificationError, match="box bound"):
+            check_pair_bounds(pair, box_of(40))
+
+    def test_pair_with_large_combo_raises(self):
+        pair = PigeonholePair(40, 11, 1, 0, 40)  # 40 > 3*sqrt(40 ln 40) = 36.4...
+        with pytest.raises(FalsificationError, match="combo"):
+            check_pair_bounds(pair, box_of(40))
+
+    def test_numerator_bound_tiers(self):
+        # at n = 40 the exponent 6*sqrt(n ln n) is 72.88...
+        exp = exponent_of(40)
+        assert 72.88 < float(exp.a) and float(exp.b) < 72.89
+        with pytest.raises(FalsificationError, match="1001 bits"):
+            _check_numerator_bound(2**1000, 40, exp)  # decided by bit length
+        # 73 bits, so only the exact log2 decides: 72.0... and 72.58...
+        _check_numerator_bound(2**72 + 1, 40, exp)
+        _check_numerator_bound(3 * 2**71, 40, exp)
+        for numerator in (2**73 - 1, -(2**73 - 1)):  # log2 is 72.99...
+            with pytest.raises(FalsificationError, match="ambiguous"):
+                _check_numerator_bound(numerator, 40, exp)
+
+    def test_rounding_returns_the_certifying_enclosure(self):
+        # both endpoints of the returned enclosure round to the integer
+        N, box = floor_certified(lambda: sqrt_i(enclose(40) / ln_i(40)))
+        assert N == 3 == math.floor(box.a) == math.floor(box.b)
+        e, exp = ceil_certified(lambda: 6 * sqrt_i(enclose(40) * ln_i(40)))
+        assert e == 73 == math.ceil(exp.a) == math.ceil(exp.b)
+
+    @pytest.mark.parametrize("call, expected", [
+        (lambda: pigeonhole_pair(40, 11), {"ln_i": 2, "sqrt_i": 2}),
+        (lambda: a_expression(40, 5, 3, 1, -3), {"ln_i": 1, "sqrt_i": 1}),
+        (lambda: cascade_verify(10_000), {"ln_i": 21, "sqrt_i": 6}),
+    ], ids=["pigeonhole_pair", "a_expression", "cascade_verify"])
+    def test_each_enclosure_built_once(self, call, expected, monkeypatch):
+        # a certified rounding hands back its enclosure, so no call
+        # evaluates the same bound a second time
+        counts = dict.fromkeys(expected, 0)
+        for name in expected:
+            def counted(*args, _real=getattr(verifier, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(verifier, name, counted)
+        call()
+        assert counts == expected
 
 
 class TestAExpression:
