@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd, isqrt, prod
 from pathlib import Path
@@ -270,25 +269,6 @@ class LehmerSearchResult:
     cofactor_verdict: PrimalityVerdict | None = None
 
 
-def _candidate_forms(c: CullenNumber) -> Iterator[tuple[int, int, int]]:
-    """(value, m, e) for every m*2^e + 1 with m | n odd and
-    1 <= e <= (bits(C(n)) - bits(m)) // 2.  This set provably contains every
-    proper divisor m*2^e + 1 of C(n) with m | n odd and e <= n2, hence every
-    prime proper divisor p with p-1 | C(n)-1.
-
-    The bound: for such a divisor p, 2^e divides both C(n)-1 and p-1, so
-    lam = C(n)/p = 1 (mod 2^e), and lam > 1 since p < C(n); so
-    lam >= 2^e + 1 and C(n) >= (m*2^e + 1)(2^e + 1) > 2^(2e + bits(m) - 1),
-    that is, 2e + bits(m) <= bits(C(n)).  As bits(C(n)) = bits(n1) + n2
-    and bits(n1) <= n <= n2, the bound lies below n2, so C(n) =
-    n1*2^n2 + 1 itself is never generated.  The forms are generated lazily
-    and unordered: their values run to n/2 bits each."""
-    bits = c.value.bit_length()
-    for m in odd_divisors(c.n):
-        for e in range(1, (bits - m.bit_length()) // 2 + 1):
-            yield (m << e) + 1, m, e
-
-
 def _divides_cullen(n: int, m: int, e: int) -> bool:
     """Whether p = m*2^e + 1 divides C(n) = n*2^n + 1, without reducing the
     n-bit C(n).  With n = q*e + r, 2^e = -1/m (mod p) gives
@@ -302,11 +282,51 @@ def _divides_cullen(n: int, m: int, e: int) -> bool:
 
 
 def _structured_hits(c: CullenNumber) -> list[tuple[int, int, int]]:
-    """The candidate forms that divide C(n), ascending by value; primality
-    is checked later, and only for these."""
-    return sorted(
-        (v, m, e) for v, m, e in _candidate_forms(c) if _divides_cullen(c.n, m, e)
-    )
+    """(value, m, e) for every form p = m*2^e + 1 that divides C(n), with
+    m | n odd and 1 <= e <= (bits(C(n)) - bits(m)) // 2, ascending by value;
+    primality is checked later, and only for these.
+
+    The bound contains every proper divisor m*2^e + 1 of C(n) with m | n
+    odd and e <= n2, hence every prime proper divisor p with p-1 | C(n)-1.
+    For such a divisor p, 2^e divides both C(n)-1 and p-1, so
+    lam = C(n)/p = 1 (mod 2^e), and lam > 1 since p < C(n); so
+    lam >= 2^e + 1 and C(n) >= (m*2^e + 1)(2^e + 1) > 2^(2e + bits(m) - 1),
+    that is, 2e + bits(m) <= bits(C(n)).  As bits(C(n)) = bits(n1) + n2
+    and bits(n1) <= n <= n2, the bound lies below n2, so C(n) =
+    n1*2^n2 + 1 itself is never a form.
+
+    Most forms are decided by size, without an exponentiation.  With
+    n = q*e + r, m^q * C(n) = n*(-1)^q*2^r + m^q (mod p) (_divides_cullen).
+    If n*2^(r+1) <= m*2^e and m^(q-1) <= 2^(e-1), both terms lie below
+    p/2, so their sum lies in (-p/2, p) and p | C(n) exactly when the sum
+    is 0: q odd and n*2^r = m^q, which as m^q is odd means r = 0 and
+    n = m^q (C(27) has the hit 3*2^9 + 1, C(729) the hit 9*2^243 + 1).
+    For fixed q, e runs over the window (n/(q+1), n/q], where r = n - q*e
+    falls as e rises: so once one e of a window is decided, every larger
+    e of it is, and only its zero case at e = n/q is left to check.  The
+    first condition reads (q+1)*e >= n + 1 + ceil(log2(n/m)), as n/m is an
+    odd integer; the second fails, with no power computed, when
+    (q-1)*(bits(m)-1) > e-1.  Only the undecided forms go to
+    _divides_cullen."""
+    n = c.n
+    bits = c.value.bit_length()
+    hits = []
+    for m in odd_divisors(n):
+        k0 = n + 1 + (n // m - 1).bit_length()  # (q+1)*e >= k0 iff n*2^(r+1) <= m*2^e
+        low = m.bit_length() - 1  # 2^low <= m
+        e, top = 1, (bits - m.bit_length()) // 2
+        while e <= top:
+            q = n // e
+            if (q + 1) * e < k0 or (q - 1) * low >= e or m ** (q - 1) > 1 << (e - 1):
+                if _divides_cullen(n, m, e):
+                    hits.append(((m << e) + 1, m, e))
+                e += 1
+                continue
+            last = n // q  # the window's top, where r = 0 if q | n
+            if n % q == 0 and last <= top and m**q == n:  # then q | n odd, so q is odd
+                hits.append(((m << last) + 1, m, last))
+            e = last + 1
+    return sorted(hits)
 
 
 def _cullen_verdict(c: CullenNumber, hits: list[tuple[int, int, int]]) -> PrimalityVerdict:
@@ -324,16 +344,17 @@ def _cullen_verdict(c: CullenNumber, hits: list[tuple[int, int, int]]) -> Primal
 def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     """Decide how C(n) escapes the property "composite with phi | value-1".
 
-    Every structured candidate that divides C(n) is found first.  Such a
-    divisor, or a prime below 10^5 that divides C(n) (below 2000 for
-    C(n) under SPECIAL_FORM_BITS), proves C(n) composite; without either, a
-    Proth certificate decides it (prime is one legal outcome).  Any prime
-    whose predecessor divides C(n)-1 is among the candidates, so for a
-    composite C(n) the three remaining outcomes are exhaustive: a repeated
-    candidate (not squarefree), a leftover cofactor (some factor has the
-    wrong shape), or a full structured factorization whose totient fails
-    the divisibility.  A fourth outcome would be a counterexample to the
-    verified theorem and raises.
+    Every structured form m*2^e + 1 in the bound that divides C(n) is found
+    first, by _structured_hits, which decides most forms by their size and
+    exponentiates only for the rest.  Such a divisor, or a prime below 10^5
+    that divides C(n) (below 2000 for C(n) under SPECIAL_FORM_BITS),
+    proves C(n) composite; without either, a Proth certificate decides it
+    (prime is one legal outcome).  Any prime whose predecessor divides
+    C(n)-1 is among the forms, so for a composite C(n) the three remaining
+    outcomes are exhaustive: a repeated hit (not squarefree), a leftover
+    cofactor (some factor has the wrong shape), or a full structured
+    factorization whose totient fails the divisibility.  A fourth outcome
+    would be a counterexample to the verified theorem and raises.
     """
     c = cullen(n)
     hits = _structured_hits(c)
@@ -502,10 +523,10 @@ class FactorCache:
     One record per line: ``n<TAB>status<TAB>p1^e1 p2 ...<TAB>cofactor``
     (exponent suffix omitted when 1); lines starting with ``#`` are
     comments.  Malformed or arithmetically inconsistent lines, including a
-    listed factor below DETERMINISTIC_LIMIT that is not prime, are skipped
-    with a logged warning and counted, never silently trusted.  Writers
-    funnel through one lock; readers see the snapshot loaded at
-    construction plus this process's own puts.
+    line that is not UTF-8 and a listed factor below DETERMINISTIC_LIMIT
+    that is not prime, are skipped with a logged warning and counted, never
+    silently trusted.  Writers funnel through one lock; readers see the
+    snapshot loaded at construction plus this process's own puts.
     """
 
     def __init__(self, path: str | Path):
@@ -518,14 +539,14 @@ class FactorCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
+        with self.path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
                 try:
+                    text = raw.decode("utf-8").strip()
+                    if not text or text.startswith("#"):
+                        continue
                     n, fact = self._parse(text)
-                except (ValueError, OverflowError) as exc:
+                except (ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
                     self.skipped_lines += 1
                     logger.warning(
                         "factor cache %s line %d skipped: %s", self.path, lineno, exc

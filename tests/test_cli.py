@@ -243,6 +243,20 @@ class TestDeterminism:
         _, rows, _, _ = parse_jsonl(out)
         assert rows[0]["from_cache"] is True
 
+    def test_cache_line_not_utf8_skipped(self, tmp_path):
+        # a line that does not decode is skipped and counted like any other
+        # malformed line; the valid line beside it is still loaded
+        cache = tmp_path / "c.txt"
+        cache.write_bytes(b"6\tcomplete\t5 7 11\t1\n\xff\xfe\n")
+        code, out, err = run_cli("check", 5, "--budget", 0, "--cache", cache)
+        assert code == EXIT_OK, err
+        header = json.loads(out.splitlines()[0])
+        assert header["params"]["cache_entries"] == 1
+        assert header["params"]["cache_skipped_lines"] == 1
+        assert "line 2 skipped" in err
+        fresh = run_cli("check", 5, "--budget", 0, "--cache", tmp_path / "fresh.txt")[1]
+        assert body_of(out) == body_of(fresh)
+
     @pytest.mark.parametrize("command", ["check", "factor"])
     def test_partial_cache_entry_does_not_replace_factoring(self, command, tmp_path):
         # a valid partial line is kept by the cache but not trusted by a row:
@@ -312,6 +326,8 @@ class TestGoldenBodies:
         # both sides of SPECIAL_FORM_BITS, with probable-prime cofactors
         # that Baillie-PSW settles
         (("scan", 550, 700), "2fcea8bea5f1cc0fe5ec9c8c2f46f7b010dbf55fb57d5bd9a1d3c3411a11af38"),
+        # the top of the sweep band, with the zero-case hit 9*2^243 + 1 of C(729)
+        (("scan", 700, 1009), "9e229a9d44f318f9dcb19de661ded8376649eed2efa85c41f1dc8454fe167905"),
     ])
     def test_body_digest(self, args, digest, tmp_path):
         code, out, _ = run_cli(*args, "--budget", 0, "--cache", tmp_path / "c.txt")

@@ -2,7 +2,7 @@ import logging
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cullen_lehmer import (
@@ -369,6 +369,59 @@ class TestLehmerConstrainedFactor:
             )
             assert _structured_hits(c) == plain, n
 
+    @staticmethod
+    def _bounded_filter(c):
+        # the oracle for the exponent windows: every form in the bound,
+        # each tested by _divides_cullen
+        from cullen_lehmer.factoring import _divides_cullen
+
+        bits = c.value.bit_length()
+        return sorted(
+            ((m << e) + 1, m, e)
+            for m in odd_divisors(c.n)
+            for e in range(1, (bits - m.bit_length()) // 2 + 1)
+            if _divides_cullen(c.n, m, e)
+        )
+
+    # the fixed examples are the slow cascade rows
+    @given(st.integers(min_value=1, max_value=5000))
+    @example(26244)
+    @example(32768)
+    @example(34992)
+    @example(46656)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_windows_equal_bounded_filter(self, n):
+        from cullen_lehmer.factoring import _structured_hits
+
+        c = cullen(n)
+        assert _structured_hits(c) == self._bounded_filter(c)
+
+    def test_zero_case_hits(self):
+        # n = m^q with q odd and e = n/q: the size test decides the form,
+        # and the residue sum n*(-1)^q + m^q is 0, so the form divides C(n)
+        from cullen_lehmer.factoring import _structured_hits
+
+        assert (1537, 3, 9) in _structured_hits(cullen(27))
+        assert ((9 << 243) + 1, 9, 243) in _structured_hits(cullen(729))
+
+    def test_forms_tested_by_exponentiation(self, monkeypatch):
+        # the bounded filter makes 1,053,450 calls over n <= 1005; the
+        # windows hand _divides_cullen only the forms the size test leaves
+        import cullen_lehmer.factoring as factoring
+
+        calls = 0
+        divides = factoring._divides_cullen
+
+        def counting(n, m, e):
+            nonlocal calls
+            calls += 1
+            return divides(n, m, e)
+
+        monkeypatch.setattr(factoring, "_divides_cullen", counting)
+        for n in range(1, 1006):
+            factoring._structured_hits(cullen(n))
+        assert calls == 197_178
+
     @given(st.integers(min_value=1, max_value=3000))
     @settings(max_examples=300, deadline=None)
     def test_hit_cofactor_is_one_mod_two_to_e(self, n):
@@ -398,12 +451,12 @@ class TestLehmerConstrainedFactor:
 
     def test_totient_route(self, monkeypatch):
         # no index below 1500 factors entirely into admissible structured
-        # primes, so drive the branch with a widened candidate list:
+        # primes, so drive the branch with a widened hit list:
         # C(4) = 65 = 5 * 13 where 13 = 3*2^2 + 1 has m = 3 not dividing 4
         import cullen_lehmer.factoring as factoring
 
         monkeypatch.setattr(
-            factoring, "_candidate_forms", lambda c: [(5, 1, 2), (13, 3, 2)]
+            factoring, "_structured_hits", lambda c: [(5, 1, 2), (13, 3, 2)]
         )
         r = factoring.lehmer_constrained_factor(4)
         assert r.verdict == VERDICT_TOTIENT
