@@ -25,7 +25,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+
+from mpmath.libmp import to_int
 
 from .certified import (
     bounds_str,
@@ -140,16 +143,17 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
     tie at a half-integer still goes to the smaller (|v|, v).  For u = 0 the
     key is least at v = 1.
 
-    The proof regime is n >= 30, where both size bounds
-    max(|u|, |v|) <= sqrt(n/ln n) and |combo| < 3*sqrt(n ln n) are
-    certified; smaller n (down to 2) is allowed for worked examples with
-    the bound assertions skipped.
+    N comes from _pair_limits, which certifies it once per index, so a walk
+    over every np of one n builds its enclosures once.  The proof regime is
+    n >= 30, where check_pair_bounds certifies both size bounds
+    max(|u|, |v|) <= sqrt(n/ln n) and |combo| < 3*sqrt(n ln n); smaller n
+    (down to 2) is allowed for worked examples with those checks skipped.
     """
     if n < 2:
         raise ValueError(f"need n >= 2 so ln n > 0, got {n}")
     if not 1 <= np_ <= n:
         raise ValueError(f"np must be in 1..n, got {np_}")
-    N, box = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
+    N, _ = _pair_limits(n)
 
     def nearest(u):
         # floor(-u*n/np) <= -u, so only the lower end of -N..N can clamp
@@ -161,20 +165,41 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
     )
     pair = PigeonholePair(n, np_, u, v, u * n + v * np_)
     if n >= 30:
-        check_pair_bounds(pair, box)
+        check_pair_bounds(pair)
     return pair
 
 
-def check_pair_bounds(pair: PigeonholePair, box) -> None:
-    """Certify the two size bounds of a pair in the n >= 30 regime; box is
-    the enclosure of sqrt(n/ln n) that floor_certified returns with N."""
-    n = pair.n
-    if not surely_le(max(abs(pair.u), abs(pair.v)), box):
+# every caller walks one index at a time, so one entry is all that hits
+@lru_cache(maxsize=1)
+def _pair_limits(n: int) -> tuple[int, int]:
+    """The pair's two size bounds at index n as integers (N, cap).
+
+    N = floor(sqrt(n/ln n)) is certified by floor_certified, and cap is the
+    exact ceiling of the lower endpoint a of the enclosure of
+    3*sqrt(n ln n).  Comparing integers against them gives the same verdict
+    as the certified comparisons against those enclosures: for an integer
+    k, surely_le(k, box) is k <= box.a, which holds exactly when
+    k <= floor(box.a) = N; for an integer c, surely_lt(c, bound) is c < a,
+    which holds exactly when c < ceil(a) = cap.  No rounding happens per
+    pair.
+    """
+    N, _ = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
+    bound = 3 * sqrt_i(enclose(n) * ln_i(n))
+    return N, to_int(bound._mpi_[0], "c")  # exact: no float, no context rounding
+
+
+def check_pair_bounds(pair: PigeonholePair) -> None:
+    """Certify the two size bounds of a pair in the n >= 30 regime,
+    max(|u|, |v|) <= sqrt(n/ln n) and |combo| < 3*sqrt(n ln n), as integer
+    comparisons against _pair_limits(n).  Both checks run for every pair,
+    although the walk in pigeonhole_pair already keeps u and |v| <= N."""
+    N, cap = _pair_limits(pair.n)
+    if max(abs(pair.u), abs(pair.v)) > N:
         raise FalsificationError(
             "pigeonhole",
             f"pair {pair} exceeds the sqrt(n/ln n) box bound",
         )
-    if not surely_lt(abs(pair.combo), 3 * sqrt_i(enclose(n) * ln_i(n))):
+    if abs(pair.combo) >= cap:
         raise FalsificationError(
             "pigeonhole",
             f"pair {pair} violates |combo| < 3*sqrt(n ln n)",

@@ -6,11 +6,13 @@ import sys
 
 import pytest
 
+import cullen_lehmer.cli as cli
 from cullen_lehmer import cullen
 from cullen_lehmer.cli import (
     EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, FACTOR_FIELDS, _resolve, build_parser, main,
 )
 from cullen_lehmer.errors import FalsificationError
+from cullen_lehmer.primality import DETERMINISTIC_LIMIT, PROBABLE_PRIME, PrimalityVerdict
 
 from conftest import body_of, parse_jsonl, run_cli
 
@@ -289,6 +291,42 @@ class TestDeterminism:
         assert rows[0]["from_cache"] is False
         assert rows[0]["factors"] == "5 7 11" and rows[0]["ratio"] == "5"
         assert "line 1 skipped" in err
+
+    @pytest.mark.parametrize("argv", [("ratio", 81, 81), ("check", 81, "--budget", 0)])
+    def test_composite_listed_above_the_limit_not_trusted(self, argv, tmp_path):
+        # C(81) is composite, and above DETERMINISTIC_LIMIT the cache load
+        # lists a factor untested; trusted, it read as ratio 1
+        assert cullen(81).value >= DETERMINISTIC_LIMIT
+        cache = tmp_path / "c.txt"
+        cache.write_text(f"81\tcomplete\t{cullen(81).value}\t1\n", encoding="utf-8")
+        code, out, err = run_cli(*argv, "--cache", cache)
+        assert code == EXIT_OK, err
+        assert "C(81) not trusted" in err
+        fresh_cache = tmp_path / "fresh.txt"
+        fresh_cache.touch()
+        fresh = run_cli(*argv, "--cache", fresh_cache)[1]
+        assert body_of(out) == body_of(fresh)
+        # a recomputed complete factorization supersedes the entry
+        assert cache.read_text(encoding="utf-8").splitlines()[1:] == (
+            fresh_cache.read_text(encoding="utf-8").splitlines()
+        )
+
+    def test_unlisted_structured_divisor_not_trusted(self, tmp_path, monkeypatch, caplog):
+        # were C(77) to pass is_prime, its one-factor listing would still
+        # leave out the structured divisors 5 and 17 that the search finds
+        def passes(N, *, within=None):
+            return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
+
+        monkeypatch.setattr(cli, "is_prime", passes)
+        cache = tmp_path / "c.txt"
+        cache.write_text(f"77\tcomplete\t{cullen(77).value}\t1\n", encoding="utf-8")
+        bodies = []
+        for path in (cache, tmp_path / "fresh.txt"):
+            out = io.StringIO()
+            assert main(["factor", "77", "--budget", "0", "--cache", str(path)], out=out) == EXIT_OK
+            bodies.append(body_of(out.getvalue()))
+        assert bodies[0] == bodies[1]
+        assert "unlisted structured divisors [5, 17]" in caplog.text
 
     def test_research_body_identical_across_workers(self, tmp_path):
         args = ("ratio", 1, 40, "--budget", 4096)

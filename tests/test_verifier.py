@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cullen_lehmer import (
@@ -24,15 +25,29 @@ from cullen_lehmer import (
     two_three_product_bound,
 )
 import cullen_lehmer.verifier as verifier
-from cullen_lehmer.certified import ceil_certified, enclose, floor_certified, ln_i, sqrt_i
+from cullen_lehmer.certified import (
+    ceil_certified, enclose, floor_certified, ln_i, sqrt_i, surely_le, surely_lt,
+)
 from cullen_lehmer.factoring import VERDICT_PRIME
-from cullen_lehmer.verifier import _check_numerator_bound, check_pair_bounds
+from cullen_lehmer.verifier import _check_numerator_bound, _pair_limits, check_pair_bounds
 
 
 def box_of(n):
     """The certified enclosure of sqrt(n/ln n) behind the pair's N."""
     _, box = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
     return box
+
+
+def combo_bound_of(n):
+    """The enclosure of 3*sqrt(n ln n) behind the pair's combo bound."""
+    return 3 * sqrt_i(enclose(n) * ln_i(n))
+
+
+def exact(endpoint):
+    """An interval endpoint as the exact rational it stores."""
+    sign, man, exp, _ = endpoint._mpi_[0]
+    value = Fraction(man) * Fraction(2) ** exp
+    return -value if sign else value
 
 
 def exponent_of(n):
@@ -161,7 +176,53 @@ class TestPigeonholePair:
         assert (pair.u, pair.v) != (0, 0)
         assert gcd(abs(pair.u), abs(pair.v)) == 1
         assert pair.combo == pair.u * n + pair.v * np_
-        check_pair_bounds(pair, box_of(n))  # raises on a violation
+        check_pair_bounds(pair)  # raises on a violation
+
+    def test_pairs_golden_digest(self):
+        # every pair for 30 <= n <= 210, hashed as taken before the bounds
+        # were computed once per index
+        digest = hashlib.sha256()
+        for n in range(30, 211):
+            for np_ in range(1, n + 1):
+                pair = pigeonhole_pair(n, np_)
+                digest.update(f"{n} {np_} {pair.u} {pair.v} {pair.combo}\n".encode())
+        assert digest.hexdigest() == (
+            "c4fc01dae6532a607d3f3865f83627ab6c0c4d259a47510904a312dfc0d73102"
+        )
+
+    @given(st.integers(min_value=30, max_value=10**6))
+    @example(10**8)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_integer_limits_are_the_certified_bounds(self, n):
+        # an integer compared against N and cap gets the verdict that the
+        # certified comparison against the enclosure gives
+        N, cap = _pair_limits(n)
+        box, bound = box_of(n), combo_bound_of(n)
+        assert N == math.floor(exact(box.a)) == math.floor(exact(box.b))
+        assert cap == math.ceil(exact(bound.a))
+        for k in (N, N + 1):
+            assert (k <= N) == surely_le(k, box)
+        for c in (cap - 1, cap):
+            assert (c < cap) == surely_lt(c, bound)
+
+    def test_limits_built_once_per_index(self, monkeypatch):
+        calls = []
+
+        def counted(enclosure):
+            calls.append(enclosure)
+            return floor_certified(enclosure)
+
+        monkeypatch.setattr(verifier, "floor_certified", counted)
+        _pair_limits.cache_clear()
+        for np_ in range(1, 201):
+            pigeonhole_pair(200, np_)
+        assert len(calls) == 1
+
+    def test_limits_memo_is_bounded(self):
+        for n in range(30, 1030):
+            pigeonhole_pair(n, 1)
+        info = _pair_limits.cache_info()
+        assert info.currsize <= info.maxsize
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -184,12 +245,25 @@ class TestCertifiedChecks:
     def test_pair_outside_the_box_raises(self):
         pair = PigeonholePair(40, 11, 5, -18, 2)  # |v| = 18 > sqrt(40/ln 40) = 3.29...
         with pytest.raises(FalsificationError, match="box bound"):
-            check_pair_bounds(pair, box_of(40))
+            check_pair_bounds(pair)
 
     def test_pair_with_large_combo_raises(self):
         pair = PigeonholePair(40, 11, 1, 0, 40)  # 40 > 3*sqrt(40 ln 40) = 36.4...
         with pytest.raises(FalsificationError, match="combo"):
-            check_pair_bounds(pair, box_of(40))
+            check_pair_bounds(pair)
+
+    @pytest.mark.parametrize("pair, match", [
+        (PigeonholePair(40, 13, 1, -3, 1), None),         # |v| = 3 = N
+        (PigeonholePair(40, 10, 1, -4, 0), "box bound"),  # |v| = 4 = N + 1
+        (PigeonholePair(40, 4, 1, -1, 36), None),         # 36 < 36.44...
+        (PigeonholePair(40, 3, 1, -1, 37), "combo"),      # 37 = cap
+    ])
+    def test_bounds_at_their_integer_edges(self, pair, match):
+        if match is None:
+            check_pair_bounds(pair)
+        else:
+            with pytest.raises(FalsificationError, match=match):
+                check_pair_bounds(pair)
 
     def test_numerator_bound_tiers(self):
         # at n = 40 the exponent 6*sqrt(n ln n) is 72.88...
@@ -220,6 +294,7 @@ class TestCertifiedChecks:
         # a certified rounding hands back its enclosure, so no call
         # evaluates the same bound a second time
         counts = dict.fromkeys(expected, 0)
+        _pair_limits.cache_clear()  # else an earlier call for n = 40 counts 0
         for name in expected:
             def counted(*args, _real=getattr(verifier, name), _name=name):
                 counts[_name] += 1
