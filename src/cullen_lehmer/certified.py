@@ -15,6 +15,7 @@ from typing import Callable
 
 import mpmath
 from mpmath import iv
+from mpmath.libmp import to_int
 
 from .errors import PrecisionError
 
@@ -63,16 +64,23 @@ def within(x, target: Exact, tol: Exact) -> bool:
     return lo.b < ex.a and ex.b < hi.a
 
 
-def _round_certified(builder: Callable[[], object], rounding) -> tuple[int, object]:
+def int_endpoints(x, rounding: str) -> tuple[int, int]:
+    """Both endpoints of the enclosure x rounded to integers, down ("f") or
+    up ("c"), exactly: no float and no rounding to a context's precision."""
+    lo, hi = x._mpi_
+    return to_int(lo, rounding), to_int(hi, rounding)
+
+
+def _round_certified(builder: Callable[[], object], rounding: str) -> tuple[int, object]:
     """Evaluate builder at escalating precision until both endpoints of its
-    enclosure round (mpmath.floor or mpmath.ceil) to the same integer.
-    Returns that integer and the enclosure it was read from."""
+    enclosure round (int_endpoints) to the same integer.  Returns that
+    integer and the enclosure it was read from."""
     saved = iv.dps
     try:
         for dps in _ESCALATION_DPS:
             iv.dps = dps
             x = builder()
-            lo, hi = int(rounding(x.a)), int(rounding(x.b))
+            lo, hi = int_endpoints(x, rounding)
             if lo == hi:
                 return lo, x
     finally:
@@ -83,13 +91,13 @@ def _round_certified(builder: Callable[[], object], rounding) -> tuple[int, obje
 def floor_certified(builder: Callable[[], object]) -> tuple[int, object]:
     """floor of the real number enclosed by builder(), certified by the
     two endpoints flooring identically, and the enclosure that certified it."""
-    return _round_certified(builder, mpmath.floor)
+    return _round_certified(builder, "f")
 
 
 def ceil_certified(builder: Callable[[], object]) -> tuple[int, object]:
     """ceil of the real number enclosed by builder(), and the enclosure that
     certified it."""
-    return _round_certified(builder, mpmath.ceil)
+    return _round_certified(builder, "c")
 
 
 def fmt(x, digits: int = 12) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .cullen import cullen
 from .errors import BudgetError, FalsificationError
 from .factoring import (
     DEFAULT_BUDGET,
@@ -37,7 +35,6 @@ from .factoring import (
     lehmer_constrained_factor,
 )
 from .predicates import RatioReport, is_carmichael, lehmer_ratio
-from .primality import DETERMINISTIC_LIMIT, is_prime
 from .verifier import (
     cascade_as_dict,
     cascade_verify,
@@ -45,8 +42,6 @@ from .verifier import (
     product_as_dict,
     two_three_product_bound,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 2
@@ -183,57 +178,28 @@ class _Record:
         return self.search.n
 
 
-def _trusted(search: LehmerSearchResult, cached: Factorization) -> bool:
-    """Whether a cached complete factorization of C(n) may stand in for
-    factoring; a refusal is logged.  The cache load certifies listed factors
-    only below DETERMINISTIC_LIMIT, so each one at or above it is tested
-    here, within C(n)'s special form; and every structured divisor the
-    search found must be listed."""
-    c = cullen(search.n)
-    listed = [p for p, _ in cached.factors]
-    composite = [p for p in listed if p >= DETERMINISTIC_LIMIT
-                 and not is_prime(p, within=(c.n1, c.n2)).probably_prime]
-    unlisted = [sp.value for sp in search.structured_divisors if sp.value not in listed]
-    if composite or unlisted:
-        logger.warning("cached factorization of C(%d) not trusted: composite factors %s, "
-                       "unlisted structured divisors %s", search.n, composite, unlisted)
-        return False
-    return True
-
-
 def _compute(n: int, budget: FactorBudget, cached: Factorization | None) -> _Record:
-    """Compute index n once.
-
-    cached, when given, complete and _trusted, replaces the general-factoring
-    step but never the structured search, which is what produces the
-    verdict; an untrusted entry is treated as absent.
-    """
+    """Compute index n once: the structured search, then the row's
+    factorization from extend_factorization, which decides whether cached
+    stands in for general factoring, then the predicates."""
     counter = WorkCounter()
     search = lehmer_constrained_factor(n)
-    from_cache = False
-    if search.verdict == VERDICT_PRIME:
-        fact = search.factorization
-    elif cached is not None and cached.is_complete and _trusted(search, cached):
-        fact, from_cache = cached, True
-    else:
-        fact = extend_factorization(search, budget, counter)
+    fact = extend_factorization(search, budget, counter, cached)
     ratio = carmichael = None
     if fact.is_complete:
         ratio = lehmer_ratio(n, fact)
         carmichael = is_carmichael(fact.value, fact)
-    return _Record(search, fact, from_cache, counter, ratio, carmichael)
+    return _Record(search, fact, fact is cached, counter, ratio, carmichael)
 
 
 def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
-    """Yield a _Record per index in ascending n, caching each complete
-    factorization unless the cache already holds it as a complete entry (a
-    partial or untrusted entry is superseded); independent indices may be
-    computed by a process pool."""
+    """Yield a _Record per index in ascending n, appending to the cache each
+    complete factorization a row computed, except a prime C(n)'s, which no
+    row reads back; independent indices may be computed by a process pool."""
 
     def stored(record: _Record) -> _Record:
-        cached = cache.get(record.n)
-        held = cached is not None and cached.is_complete and cached.factors == record.fact.factors
-        if record.fact.is_complete and not held:
+        if (record.fact.is_complete and not record.from_cache
+                and record.search.verdict != VERDICT_PRIME):
             cache.put(record.n, record.fact)
         return record
 

@@ -8,7 +8,7 @@ e <= n2, so dividing every such prime out of C(n) decides the verdict.
 The general engine (trial division plus Brent's variant of Pollard rho)
 only describes the rest: extend_factorization runs it on what the search
 leaves, for the open-problem scans where any factorization will do and a
-partial result is acceptable.
+partial result is acceptable, unless a trusted cached entry stands in.
 """
 
 from __future__ import annotations
@@ -215,9 +215,6 @@ def general_factor(
         settle(m, verdict if m == N else None)
     while stack:
         comp = stack.pop()
-        if counter.rho_iterations >= budget.rho_iterations:
-            leftovers.append(comp)
-            continue
         d = None
         c = 1
         while d is None and counter.rho_iterations < budget.rho_iterations:
@@ -408,7 +405,7 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
             n, tuple(divisors), VERDICT_STRUCTURAL, witness, fact, verdict
         )
 
-    phi = prod(sp.value - 1 for sp in divisors)
+    phi = euler_phi(fact)
     if (c.value - 1) % phi:
         witness = RefutationWitness(
             kind="totient",
@@ -427,16 +424,44 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     )
 
 
-def extend_factorization(
-    result: LehmerSearchResult, budget: FactorBudget, counter: WorkCounter
-) -> Factorization:
-    """The search's factorization of C(n), pushed toward completeness.
+def _trusted(search: LehmerSearchResult, cached: Factorization) -> bool:
+    """Whether a cached complete factorization of C(n) may stand in for
+    factoring; a refusal is logged.  The cache load certifies listed factors
+    only below DETERMINISTIC_LIMIT, so each one at or above it is tested
+    here, within C(n)'s special form; and every structured divisor the
+    search found must be listed."""
+    c = cullen(search.n)
+    listed = [p for p, _ in cached.factors]
+    composite = [p for p in listed if p >= DETERMINISTIC_LIMIT
+                 and not is_prime(p, within=(c.n1, c.n2)).probably_prime]
+    unlisted = [sp.value for sp in search.structured_divisors if sp.value not in listed]
+    if composite or unlisted:
+        logger.warning("cached factorization of C(%d) not trusted: composite factors %s, "
+                       "unlisted structured divisors %s", search.n, composite, unlisted)
+        return False
+    return True
 
-    A complete search state is returned as it is.  Otherwise general_factor
-    runs on the cofactor within C(n)'s special form, reusing the search's
-    cofactor_verdict so that no value is tested twice, and its primes are
-    merged with the structured ones."""
+
+def extend_factorization(
+    result: LehmerSearchResult,
+    budget: FactorBudget,
+    counter: WorkCounter,
+    cached: Factorization | None = None,
+) -> Factorization:
+    """The row's factorization of C(n), by the first rule that applies: a
+    prime C(n) keeps the search's Proth-certified factorization, and cached
+    is not read; a complete cached entry that passes _trusted is returned
+    as it is (a caller tells it by identity); a complete search state is
+    returned as it is.  Otherwise general_factor runs on the cofactor
+    within C(n)'s special form, reusing the search's cofactor_verdict so
+    that no value is tested twice, and its primes are merged with the
+    structured ones.  A partial or untrusted entry is treated as absent,
+    and no entry replaces the search, which is what gives the verdict."""
     fact = result.factorization
+    if result.verdict == VERDICT_PRIME:
+        return fact
+    if cached is not None and cached.is_complete and _trusted(result, cached):
+        return cached
     if fact.is_complete:
         return fact
     c = cullen(result.n)
@@ -589,8 +614,9 @@ class FactorCache:
         fact = Factorization(value, tuple(factors), status, cofactor, probable)
         if fact.value != c.value:
             raise ValueError(f"line does not reproduce C({n})")
-        # certify only below the limit, where it is cheap: a prime row caches
-        # C(n) itself, thousands of bits, and every command reloads the cache
+        # certify only below the limit, where it is cheap: a listed factor
+        # may have thousands of bits, and every command reloads the cache;
+        # extend_factorization tests the others before a row uses the entry
         for p, _ in factors:
             if p < DETERMINISTIC_LIMIT and not is_prime(p).is_prime:
                 raise ValueError(f"listed factor {p} is not prime")

@@ -28,8 +28,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from mpmath.libmp import to_int
-
 from .certified import (
     bounds_str,
     ceil_certified,
@@ -37,6 +35,7 @@ from .certified import (
     exp_upper,
     floor_certified,
     fmt,
+    int_endpoints,
     ln_i,
     sqrt_i,
     surely_gt,
@@ -185,7 +184,7 @@ def _pair_limits(n: int) -> tuple[int, int]:
     """
     N, _ = floor_certified(lambda: sqrt_i(enclose(n) / ln_i(n)))
     bound = 3 * sqrt_i(enclose(n) * ln_i(n))
-    return N, to_int(bound._mpi_[0], "c")  # exact: no float, no context rounding
+    return N, int_endpoints(bound, "c")[0]
 
 
 def check_pair_bounds(pair: PigeonholePair) -> None:

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import cullen_lehmer.cli as cli
 from cullen_lehmer import cullen
 from cullen_lehmer.cli import (
     EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, FACTOR_FIELDS, _resolve, build_parser, main,
@@ -278,6 +277,34 @@ class TestDeterminism:
         assert [row["from_cache"] for row in rows] == [False, True]
         assert cache.read_text(encoding="utf-8") == "6\tpartial\t5\t77\n6\tcomplete\t5 7 11\t1\n"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_from_cache_appends_nothing(self, workers, tmp_path):
+        # only a factorization a row computed is appended: here C(5)'s, not
+        # the entry for 6 that the row for 6 reads back
+        cache = tmp_path / "c.txt"
+        cache.write_text("6\tcomplete\t5 7 11\t1\n", encoding="utf-8")
+        code, out, err = run_cli("scan", 5, 6, "--budget", 0, "--workers", workers,
+                                 "--cache", cache)
+        assert code == EXIT_OK, err
+        _, rows, _, _ = parse_jsonl(out)
+        assert [row["from_cache"] for row in rows] == [False, True]
+        assert cache.read_text(encoding="utf-8") == (
+            "6\tcomplete\t5 7 11\t1\n5\tcomplete\t7 23\t1\n"
+        )
+
+    def test_prime_row_writes_no_cache_line(self, tmp_path):
+        # C(141) is prime: the search's Proth certificate is the whole
+        # factorization, so its row neither reads nor writes the cache
+        cache = tmp_path / "c.txt"
+        bodies = []
+        for _ in range(2):
+            code, out, err = run_cli("check", 141, "--cache", cache)
+            assert code == EXIT_OK, err
+            bodies.append(body_of(out))
+        assert bodies[0] == bodies[1]
+        assert json.loads(bodies[0])["status"] == "prime"
+        assert not cache.exists()
+
     @pytest.mark.parametrize("line", [
         "6\tcomplete\t11 35\t1",    # 35 is not prime; the ratio would read 85
         "6\tpartial\t5 7 11\t1",    # partial needs a cofactor above 1
@@ -313,11 +340,17 @@ class TestDeterminism:
 
     def test_unlisted_structured_divisor_not_trusted(self, tmp_path, monkeypatch, caplog):
         # were C(77) to pass is_prime, its one-factor listing would still
-        # leave out the structured divisors 5 and 17 that the search finds
-        def passes(N, *, within=None):
-            return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
+        # leave out the structured divisors 5 and 17 that the search finds.
+        # C(77) is above DETERMINISTIC_LIMIT and divisible by a hit, so only
+        # the trust check tests it; every other value gets the real verdict
+        import cullen_lehmer.factoring as factoring
 
-        monkeypatch.setattr(cli, "is_prime", passes)
+        def passes(N, *, within=None, _real=factoring.is_prime):
+            if N == cullen(77).value:
+                return PrimalityVerdict(N, PROBABLE_PRIME, "probabilistic-mr")
+            return _real(N, within=within)
+
+        monkeypatch.setattr(factoring, "is_prime", passes)
         cache = tmp_path / "c.txt"
         cache.write_text(f"77\tcomplete\t{cullen(77).value}\t1\n", encoding="utf-8")
         bodies = []
@@ -371,6 +404,18 @@ class TestGoldenBodies:
         code, out, _ = run_cli(*args, "--budget", 0, "--cache", tmp_path / "c.txt")
         assert code == EXIT_OK
         assert hashlib.sha256(body_of(out).encode()).hexdigest() == digest
+
+    def test_warm_cache_research_body_digest(self, tmp_path):
+        # carmichael after ratio on one cache: 11 of its rows are served from
+        # the cache, which no fresh-cache digest covers
+        cache = tmp_path / "c.txt"
+        for command in ("ratio", "carmichael"):
+            code, out, err = run_cli(command, 169, 200, "--budget", 4096, "--cache", cache)
+            assert code == EXIT_OK, err
+        assert sum(row["from_cache"] for row in parse_jsonl(out)[1]) == 11
+        assert hashlib.sha256(body_of(out).encode()).hexdigest() == (
+            "7af1addefa3b5ae7223f72aa1522dcb0784ad9554c9109c4d070a3a0bc9d48e9"
+        )
 
     # the bound cascade's report prints mpmath interval endpoints as
     # decimals; these digests were taken with mpmath 1.3.0

@@ -285,6 +285,16 @@ class TestCertifiedChecks:
         e, exp = ceil_certified(lambda: 6 * sqrt_i(enclose(40) * ln_i(40)))
         assert e == 73 == math.ceil(exp.a) == math.ceil(exp.b)
 
+    @pytest.mark.parametrize("rounding, sign, expected", [
+        (floor_certified, -1, 2**60 - 1), (ceil_certified, 1, 2**60 + 1),
+    ], ids=["floor", "ceil"])
+    def test_rounding_exact_past_double_precision(self, rounding, sign, expected):
+        # 2^60 -+ 1/3 lies within 2^-53 of 2^60 relatively, so a read of the
+        # endpoints at 53 bits would give 2^60
+        from mpmath import iv
+
+        assert rounding(lambda: iv.mpf(2)**60 + sign * iv.mpf(1) / 3)[0] == expected
+
     @pytest.mark.parametrize("call, expected", [
         (lambda: pigeonhole_pair(40, 11), {"ln_i": 2, "sqrt_i": 2}),
         (lambda: a_expression(40, 5, 3, 1, -3), {"ln_i": 1, "sqrt_i": 1}),
