@@ -14,6 +14,7 @@ from .factoring import (
     VERDICT_SQUAREFREE,
     VERDICT_STRUCTURAL,
     VERDICT_TOTIENT,
+    CacheEntry,
     FactorBudget,
     FactorCache,
     Factorization,

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, FalsificationError
 from .factoring import (
+    CacheEntry,
     DEFAULT_BUDGET,
     FactorBudget,
     FactorCache,
@@ -178,10 +179,11 @@ class _Record:
         return self.search.n
 
 
-def _compute(n: int, budget: FactorBudget, cached: Factorization | None) -> _Record:
+def _compute(n: int, budget: FactorBudget, cached: CacheEntry | None) -> _Record:
     """Compute index n once: the structured search, then the row's
-    factorization from extend_factorization, which decides whether cached
-    stands in for general factoring, then the predicates."""
+    factorization from extend_factorization, which decides whether the
+    cached factorization stands in for general factoring, then the
+    predicates."""
     counter = WorkCounter()
     search = lehmer_constrained_factor(n)
     fact = extend_factorization(search, budget, counter, cached)
@@ -189,26 +191,28 @@ def _compute(n: int, budget: FactorBudget, cached: Factorization | None) -> _Rec
     if fact.is_complete:
         ratio = lehmer_ratio(n, fact)
         carmichael = is_carmichael(fact.value, fact)
-    return _Record(search, fact, fact is cached, counter, ratio, carmichael)
+    from_cache = cached is not None and fact is cached.fact
+    return _Record(search, fact, from_cache, counter, ratio, carmichael)
 
 
 def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
     """Yield a _Record per index in ascending n, appending to the cache each
-    complete factorization a row computed, except a prime C(n)'s, which no
-    row reads back; independent indices may be computed by a process pool."""
+    factorization a row computed that a later row can read back: a complete
+    one, except a prime C(n)'s, and a partial one when rho ran, with its
+    budget; independent indices may be computed by a process pool."""
 
     def stored(record: _Record) -> _Record:
-        if (record.fact.is_complete and not record.from_cache
-                and record.search.verdict != VERDICT_PRIME):
-            cache.put(record.n, record.fact)
+        if (not record.from_cache and record.search.verdict != VERDICT_PRIME
+                and (record.fact.is_complete or budget.rho_iterations > 0)):
+            cache.put(record.n, record.fact, budget.rho_iterations)
         return record
 
     if workers <= 1 or len(ns) <= 1:
         for n in ns:
-            yield stored(_compute(n, budget, cache.get(n)))
+            yield stored(_compute(n, budget, cache.entry(n)))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_digit_limit) as pool:
-        futures = [pool.submit(_compute, n, budget, cache.get(n)) for n in ns]
+        futures = [pool.submit(_compute, n, budget, cache.entry(n)) for n in ns]
         for future in futures:  # submission order is ascending n
             yield stored(future.result())
 

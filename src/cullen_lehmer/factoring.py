@@ -8,7 +8,8 @@ e <= n2, so dividing every such prime out of C(n) decides the verdict.
 The general engine (trial division plus Brent's variant of Pollard rho)
 only describes the rest: extend_factorization runs it on what the search
 leaves, for the open-problem scans where any factorization will do and a
-partial result is acceptable, unless a trusted cached entry stands in.
+partial result is acceptable, unless a trusted cached entry stands in: a
+complete one, or a partial one whose rho budget is at least the row's.
 """
 
 from __future__ import annotations
@@ -425,19 +426,36 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
 
 
 def _trusted(search: LehmerSearchResult, cached: Factorization) -> bool:
-    """Whether a cached complete factorization of C(n) may stand in for
-    factoring; a refusal is logged.  The cache load certifies listed factors
-    only below DETERMINISTIC_LIMIT, so each one at or above it is tested
-    here, within C(n)'s special form; and every structured divisor the
-    search found must be listed."""
+    """Whether a cached factorization of C(n) may stand in for factoring; a
+    refusal is logged.  The cache load certifies listed factors only below
+    DETERMINISTIC_LIMIT, so each one at or above it is tested here, within
+    C(n)'s special form; and every structured divisor the search found must
+    be listed.  The cofactor of a partial entry must be one general_factor
+    leaves: free of the primes up to TRIAL_BOUND, and composite (the
+    search's verdict on its own cofactor is reused, not recomputed)."""
     c = cullen(search.n)
+    within = (c.n1, c.n2)
     listed = [p for p, _ in cached.factors]
     composite = [p for p in listed if p >= DETERMINISTIC_LIMIT
-                 and not is_prime(p, within=(c.n1, c.n2)).probably_prime]
+                 and not is_prime(p, within=within).probably_prime]
     unlisted = [sp.value for sp in search.structured_divisors if sp.value not in listed]
-    if composite or unlisted:
-        logger.warning("cached factorization of C(%d) not trusted: composite factors %s, "
-                       "unlisted structured divisors %s", search.n, composite, unlisted)
+    problems = []
+    if composite:
+        problems.append(f"composite factors {composite}")
+    if unlisted:
+        problems.append(f"unlisted structured divisors {unlisted}")
+    if not problems and not cached.is_complete:
+        cofactor = cached.cofactor
+        small = next(_small_prime_divisors(cofactor, TRIAL_BOUND), None)
+        known = search.cofactor_verdict
+        if small is not None:
+            problems.append(f"the cofactor has the prime factor {small}")
+        elif (known if known is not None and known.value == cofactor
+              else is_prime(cofactor, within=within)).probably_prime:
+            problems.append("the cofactor is prime")
+    if problems:
+        logger.warning("cached factorization of C(%d) not trusted: %s",
+                       search.n, "; ".join(problems))
         return False
     return True
 
@@ -446,22 +464,32 @@ def extend_factorization(
     result: LehmerSearchResult,
     budget: FactorBudget,
     counter: WorkCounter,
-    cached: Factorization | None = None,
+    cached: CacheEntry | None = None,
 ) -> Factorization:
     """The row's factorization of C(n), by the first rule that applies: a
     prime C(n) keeps the search's Proth-certified factorization, and cached
-    is not read; a complete cached entry that passes _trusted is returned
-    as it is (a caller tells it by identity); a complete search state is
-    returned as it is.  Otherwise general_factor runs on the cofactor
-    within C(n)'s special form, reusing the search's cofactor_verdict so
-    that no value is tested twice, and its primes are merged with the
-    structured ones.  A partial or untrusted entry is treated as absent,
-    and no entry replaces the search, which is what gives the verdict."""
+    is not read; a cached factorization that is complete, or partial at a
+    rho budget at least budget's, and passes _trusted is returned as it is
+    (a caller tells it by identity); a complete search state is returned as
+    it is.  Otherwise general_factor runs on the cofactor within C(n)'s
+    special form, reusing the search's cofactor_verdict so that no value is
+    tested twice, and its primes are merged with the structured ones.
+
+    general_factor is deterministic given its input and budget, and every
+    row starts a fresh counter, so a partial entry at budget B is what a row
+    at budget B computes; at a smaller budget the row prints B's result.
+    A larger budget reruns rho from the start.  A partial entry with no
+    budget (a legacy line), one below the row's budget, or an untrusted
+    entry is treated as absent, and no entry replaces the search, which is
+    what gives the verdict."""
     fact = result.factorization
     if result.verdict == VERDICT_PRIME:
         return fact
-    if cached is not None and cached.is_complete and _trusted(result, cached):
-        return cached
+    if (cached is not None
+            and (cached.fact.is_complete
+                 or (cached.budget is not None and budget.rho_iterations <= cached.budget))
+            and _trusted(result, cached.fact)):
+        return cached.fact
     if fact.is_complete:
         return fact
     c = cullen(result.n)
@@ -542,24 +570,52 @@ def np_bound_check(n: int, p: int) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class CacheEntry:
+    """A factor cache record for C(n).  budget is the rho budget that left
+    a partial factorization partial; it is None for a complete one and for
+    a partial line written without one, which never stands in."""
+
+    fact: Factorization
+    budget: int | None = None
+
+    def __post_init__(self):
+        if self.budget is not None and (self.fact.is_complete or self.budget < 0):
+            raise ValueError("only a partial entry carries a rho budget, at least 0")
+
+    def rank(self) -> tuple[bool, bool, int]:
+        """Complete above partial, then a budget above none, then the larger
+        budget: the order in which entries for one n say more."""
+        return self.fact.is_complete, self.budget is not None, self.budget or 0
+
+
 class FactorCache:
     """Persistent line-oriented map from index n to the factorization of C(n).
 
     One record per line: ``n<TAB>status<TAB>p1^e1 p2 ...<TAB>cofactor``
     (exponent suffix omitted when 1); lines starting with ``#`` are
-    comments.  Malformed or arithmetically inconsistent lines, including a
-    line that is not UTF-8 and a listed factor below DETERMINISTIC_LIMIT
-    that is not prime, are skipped with a logged warning and counted, never
-    silently trusted.  Writers funnel through one lock; readers see the
-    snapshot loaded at construction plus this process's own puts.
+    comments.  status is ``complete``, ``partial@B`` for a partial
+    factorization left by rho budget B, or a bare ``partial`` (a legacy
+    line, kept but never standing in).  Malformed or arithmetically
+    inconsistent lines, including a line that is not UTF-8, a budget that
+    is not a non-negative integer of at most 20 digits, and a listed factor
+    below DETERMINISTIC_LIMIT that is not prime, are skipped with a logged
+    warning and counted, never silently trusted.  Of several lines for one
+    n the one that says most is kept, by CacheEntry.rank, and the later one
+    on a tie.  Writers funnel through one lock; readers see the snapshot
+    loaded at construction plus this process's own puts.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = Lock()
-        self._entries: dict[int, Factorization] = {}
+        self._entries: dict[int, CacheEntry] = {}
         self.skipped_lines = 0
         self._load()
+
+    def _outranked(self, n: int, entry: CacheEntry) -> bool:
+        held = self._entries.get(n)
+        return held is not None and held.rank() > entry.rank()
 
     def _load(self) -> None:
         if not self.path.exists():
@@ -570,17 +626,18 @@ class FactorCache:
                     text = raw.decode("utf-8").strip()
                     if not text or text.startswith("#"):
                         continue
-                    n, fact = self._parse(text)
+                    n, entry = self._parse(text)
                 except (ValueError, OverflowError) as exc:  # UnicodeDecodeError is a ValueError
                     self.skipped_lines += 1
                     logger.warning(
                         "factor cache %s line %d skipped: %s", self.path, lineno, exc
                     )
                     continue
-                self._entries[n] = fact
+                if not self._outranked(n, entry):
+                    self._entries[n] = entry
 
     @staticmethod
-    def _parse(text: str) -> tuple[int, Factorization]:
+    def _parse(text: str) -> tuple[int, CacheEntry]:
         parts = text.split("\t")
         if len(parts) != 4:
             raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
@@ -589,6 +646,12 @@ class FactorCache:
         n = int(parts[0])
         if not 1 <= n <= 10_000_000:  # building C(n) for a corrupt index would hang
             raise ValueError(f"index {n} out of the cacheable range")
+        status, at, token = parts[1].partition("@")
+        budget = None
+        if at:
+            if status != PARTIAL or not (token.isascii() and token.isdigit()) or len(token) > 20:
+                raise ValueError("a rho budget must follow partial@ as at most 20 digits")
+            budget = int(token)
         c = cullen(n)
         # no number field of a valid line is longer than C(n) in decimal; a
         # longer one is rejected before int(), whose cost is quadratic in it
@@ -596,7 +659,6 @@ class FactorCache:
         fields = parts[2].replace("^", " ").split() + [parts[3]]
         if max(map(len, fields)) > digits:
             raise ValueError(f"a number field is longer than C({n}), {digits} digits")
-        status = parts[1]
         cofactor = int(parts[3])
         factors = []
         for tok in parts[2].split():
@@ -620,19 +682,31 @@ class FactorCache:
         for p, _ in factors:
             if p < DETERMINISTIC_LIMIT and not is_prime(p).is_prime:
                 raise ValueError(f"listed factor {p} is not prime")
-        return n, fact
+        return n, CacheEntry(fact, budget)
 
-    def get(self, n: int) -> Factorization | None:
+    def entry(self, n: int) -> CacheEntry | None:
         return self._entries.get(n)
 
-    def put(self, n: int, fact: Factorization) -> None:
+    def get(self, n: int) -> Factorization | None:
+        entry = self._entries.get(n)
+        return entry.fact if entry else None
+
+    def put(self, n: int, fact: Factorization, budget: int | None = None) -> None:
+        """Append C(n)'s factorization; a partial one is written with budget,
+        the rho budget that left it partial, when one is given.  Nothing is
+        written when the held entry says more, since no load would keep the
+        line: a row refuses such an entry, at a larger budget, at each use."""
         if fact.value != cullen(n).value:
             raise ValueError(f"factorization value is not C({n})")
-        line = f"{n}\t{fact.status}\t{fact.summary()}\t{fact.cofactor}\n"
+        entry = CacheEntry(fact, None if fact.is_complete else budget)
+        status = fact.status if entry.budget is None else f"{PARTIAL}@{entry.budget}"
+        line = f"{n}\t{status}\t{fact.summary()}\t{fact.cofactor}\n"
         with self._lock:
+            if self._outranked(n, entry):
+                return
             with self.path.open("a", encoding="utf-8") as fh:
                 fh.write(line)
-            self._entries[n] = fact
+            self._entries[n] = entry
 
     def __len__(self) -> int:
         return len(self._entries)

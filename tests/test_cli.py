@@ -11,6 +11,7 @@ from cullen_lehmer.cli import (
     EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, FACTOR_FIELDS, _resolve, build_parser, main,
 )
 from cullen_lehmer.errors import FalsificationError
+from cullen_lehmer.factoring import FactorCache
 from cullen_lehmer.primality import DETERMINISTIC_LIMIT, PROBABLE_PRIME, PrimalityVerdict
 
 from conftest import body_of, parse_jsonl, run_cli
@@ -381,6 +382,138 @@ class TestDeterminism:
             assert body_of(factor) == json.dumps(projected, separators=(",", ":")) + "\n", n
 
 
+COUNTER_COLUMNS = ("from_cache", "trial_divisions", "rho_iterations")
+
+
+def without_counters(stdout: str) -> tuple[list[dict], list[dict]]:
+    """The rows, without the columns a cached row may change, and the summaries."""
+    _, rows, summaries, _ = parse_jsonl(stdout)
+    return [{k: v for k, v in row.items() if k not in COUNTER_COLUMNS} for row in rows], summaries
+
+
+class TestPartialCacheEntries:
+    """A partial factorization is cached with the rho budget that left it
+    partial (status partial@B), and it stands in for a row at budget B or
+    below once its checks pass."""
+
+    BAND = (169, 200, "--budget", 4096)  # 11 rows complete, 21 partial at 4096
+
+    def test_warm_research_body_is_the_fresh_one(self, tmp_path):
+        # carmichael after ratio on one cache, with 1 and 2 workers: every
+        # row is read back, and the body is the fresh-cache body but for
+        # from_cache and the two counters
+        fresh = run_cli("carmichael", *self.BAND, "--cache", tmp_path / "fresh.txt")
+        warm, caches = [], []
+        for workers in (1, 2):
+            cache = tmp_path / f"warm{workers}.txt"
+            for command in ("ratio", "carmichael"):
+                code, out, err = run_cli(command, *self.BAND, "--workers", workers,
+                                         "--cache", cache)
+                assert code == EXIT_OK, err
+            warm.append(out)
+            caches.append(cache.read_text(encoding="utf-8"))
+        assert body_of(warm[0]) == body_of(warm[1])
+        assert caches[0] == caches[1] and caches[0].count("\tpartial@4096\t") == 21
+        rows = parse_jsonl(warm[0])[1]
+        assert all(row["from_cache"] and row["rho_iterations"] == 0 for row in rows)
+        assert without_counters(warm[0]) == without_counters(fresh[1])
+
+    def test_larger_budget_recomputes_partial_rows(self, tmp_path):
+        cache = tmp_path / "c.txt"
+        assert run_cli("ratio", *self.BAND, "--cache", cache)[0] == EXIT_OK
+        first = FactorCache(cache)
+        partial = {n for n in range(169, 201) if not first.get(n).is_complete}
+        before = cache.read_text(encoding="utf-8").splitlines()
+        code, out, err = run_cli("ratio", 169, 200, "--budget", 8192, "--cache", cache)
+        assert code == EXIT_OK, err
+        rows = parse_jsonl(out)[1]
+        assert {row["n"] for row in rows if not row["from_cache"]} == partial
+        assert all(row["rho_iterations"] > 0 for row in rows if row["n"] in partial)
+        fresh = run_cli("ratio", 169, 200, "--budget", 8192, "--cache", tmp_path / "fresh.txt")
+        assert without_counters(out) == without_counters(fresh[1])
+        after = cache.read_text(encoding="utf-8").splitlines()
+        assert after[:len(before)] == before and len(after) == len(before) + len(partial)
+        # the next load prefers the lines at 8192, so a rerun reads every row back
+        reloaded = FactorCache(cache)
+        assert all(reloaded.entry(n).budget == 8192 for n in partial)
+        again = run_cli("ratio", 169, 200, "--budget", 8192, "--cache", cache)[1]
+        assert all(row["from_cache"] for row in parse_jsonl(again)[1])
+        assert cache.read_text(encoding="utf-8").splitlines() == after
+
+    def test_smaller_budget_reads_partial_entry(self, tmp_path):
+        # a row at budget 0 prints the factorization rho found at 4096
+        cache = tmp_path / "c.txt"
+        assert run_cli("ratio", 169, 169, "--budget", 4096, "--cache", cache)[0] == EXIT_OK
+        code, out, err = run_cli("factor", 169, "--budget", 0, "--cache", cache)
+        assert code == EXIT_OK, err
+        row = parse_jsonl(out)[1][0]
+        fact = FactorCache(cache).get(169)
+        assert row["from_cache"] and row["rho_iterations"] == 0
+        assert (row["factors"], row["factor_status"], row["cofactor"]) == (
+            fact.summary(), "partial", fact.cofactor)
+
+    def test_budget_zero_writes_no_partial_line(self, tmp_path):
+        cache = tmp_path / "c.txt"
+        code, out, err = run_cli("scan", 150, 160, "--budget", 0, "--workers", 2,
+                                 "--cache", cache)
+        assert code == EXIT_OK, err
+        statuses = [row["factor_status"] for row in parse_jsonl(out)[1]]
+        assert statuses.count("complete") == 1 and statuses.count("partial") == 10
+        assert cache.read_text(encoding="utf-8") == "158\tcomplete\t" + (
+            FactorCache(cache).get(158).summary() + "\t1\n")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("38\tpartial@262144\t3^2 20879\t55586743", "the cofactor is prime"),
+        ("38\tpartial@262144\t3 20879\t166760229", "the cofactor has the prime factor 3"),
+    ], ids=["prime-cofactor", "cofactor-divisible-by-3"])
+    def test_untrusted_partial_entry_refused(self, line, reason, tmp_path):
+        # C(38) = 3^2 * 20879 * 55586743, so both lines load; neither
+        # cofactor is one general_factor leaves, and the row factors C(38)
+        cache = tmp_path / "c.txt"
+        cache.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run_cli("factor", 38, "--budget", 4096, "--cache", cache)
+        assert code == EXIT_OK, err
+        assert f"C(38) not trusted: {reason}" in err
+        fresh = run_cli("factor", 38, "--budget", 4096, "--cache", tmp_path / "fresh.txt")[1]
+        assert body_of(out) == body_of(fresh)
+
+    def test_line_outranked_by_refused_entry_not_written(self, tmp_path):
+        # C(169) = 3 * 113 * 2371 * 11771611 * x; a line at a larger budget
+        # that leaves out the structured divisor 3 is refused at each use,
+        # and the row's own line is not appended, as no load would keep it
+        x = 13365611014617493685054130106268808468331
+        line = f"169\tpartial@999999\t113 2371 11771611\t{3 * x}\n"
+        cache = tmp_path / "c.txt"
+        cache.write_text(line, encoding="utf-8")
+        fresh = run_cli("ratio", 169, 169, "--budget", 4096, "--cache", tmp_path / "fresh.txt")
+        for _ in range(2):
+            code, out, err = run_cli("ratio", 169, 169, "--budget", 4096, "--cache", cache)
+            assert code == EXIT_OK, err
+            assert "C(169) not trusted: unlisted structured divisors [3]" in err
+            assert body_of(out) == body_of(fresh[1])
+        assert cache.read_text(encoding="utf-8") == line
+
+    @pytest.mark.parametrize("token, skipped", [
+        ("4096", False), ("-1", True), ("+4096", True), ("4e3", True), ("", True),
+        ("9" * 21, True), ("\u0664\u0660\u0669\u0666", True), (" 4096", True),
+    ], ids=["valid", "negative", "signed", "float", "empty", "21-digits", "non-ascii",
+            "space"])
+    def test_budget_token_validated(self, token, skipped, tmp_path):
+        # C(169)'s own partial factorization at 4096, under each budget token
+        fresh_cache = tmp_path / "fresh.txt"
+        code, fresh, _ = run_cli("factor", 169, "--budget", 4096, "--cache", fresh_cache)
+        assert code == EXIT_OK
+        fact = FactorCache(fresh_cache).get(169)
+        cache = tmp_path / "c.txt"
+        cache.write_text(f"169\tpartial@{token}\t{fact.summary()}\t{fact.cofactor}\n",
+                         encoding="utf-8")
+        code, out, err = run_cli("factor", 169, "--budget", 4096, "--cache", cache)
+        assert code == EXIT_OK, err
+        assert parse_jsonl(out)[1][0]["from_cache"] is not skipped
+        assert ("line 1 skipped" in err) is skipped
+        assert without_counters(out) == without_counters(fresh)
+
+
 class TestGoldenBodies:
     """sha256 of the body (stdout after the header) on a fresh cache, pinned
     so that a refactor or speed-up of the theorem path must reproduce every
@@ -406,15 +539,17 @@ class TestGoldenBodies:
         assert hashlib.sha256(body_of(out).encode()).hexdigest() == digest
 
     def test_warm_cache_research_body_digest(self, tmp_path):
-        # carmichael after ratio on one cache: 11 of its rows are served from
-        # the cache, which no fresh-cache digest covers
+        # carmichael after ratio on one cache: all 32 of its rows are served
+        # from the cache, 11 complete and 21 partial at budget 4096, which no
+        # fresh-cache digest covers; TestPartialCacheEntries checks that the
+        # body is the fresh one but for from_cache and the counters
         cache = tmp_path / "c.txt"
         for command in ("ratio", "carmichael"):
             code, out, err = run_cli(command, 169, 200, "--budget", 4096, "--cache", cache)
             assert code == EXIT_OK, err
-        assert sum(row["from_cache"] for row in parse_jsonl(out)[1]) == 11
+        assert sum(row["from_cache"] for row in parse_jsonl(out)[1]) == 32
         assert hashlib.sha256(body_of(out).encode()).hexdigest() == (
-            "7af1addefa3b5ae7223f72aa1522dcb0784ad9554c9109c4d070a3a0bc9d48e9"
+            "9269adcbf0424087baf9c3e80d3d62ea44164e592cc9cfeabd38064e92880140"
         )
 
     # the bound cascade's report prints mpmath interval endpoints as

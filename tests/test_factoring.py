@@ -1,4 +1,5 @@
 import logging
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -26,6 +27,7 @@ from cullen_lehmer.factoring import (
     VERDICT_SQUAREFREE,
     VERDICT_STRUCTURAL,
     VERDICT_TOTIENT,
+    CacheEntry,
 )
 from cullen_lehmer.primality import SPECIAL_FORM_BITS, _sieve
 
@@ -505,6 +507,41 @@ class TestFactorCache:
         f = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
         cache.put(9, f)
         assert FactorCache(path).get(9) == f
+
+    def test_partial_entry_keeps_its_budget(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        c = cullen(9)
+        f = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
+        cache = FactorCache(path)
+        cache.put(9, f, 4096)
+        cache.put(6, general_factor(cullen(6).value), 4096)  # complete: no budget
+        assert path.read_text(encoding="utf-8") == (
+            f"9\tpartial@4096\t11\t{c.value // 11}\n6\tcomplete\t5 7 11\t1\n")
+        again = FactorCache(path)
+        assert again.entry(9) == CacheEntry(f, 4096)
+        assert again.entry(6) == CacheEntry(again.get(6), None)
+
+    # C(38) = 3^2 * 20879 * 55586743
+    C38_LINES = [
+        "38\tcomplete\t3^2 20879 55586743\t1",
+        "38\tpartial@262144\t3^2\t1160595607097",
+        "38\tpartial@4096\t3^2 20879\t55586743",
+        "38\tpartial\t3^2 20879\t55586743",
+    ]
+
+    @pytest.mark.parametrize("order", list(permutations(range(4))))
+    def test_most_informative_entry_kept(self, order, tmp_path):
+        # complete over partial, then the larger budget, then any budget over
+        # none, whatever the line order (a partial line appended after the
+        # complete one by a concurrent writer included); each line is kept
+        # once the lines that say more are gone
+        path = tmp_path / "cache.txt"
+        for best, line in enumerate(self.C38_LINES):
+            path.write_text("".join(self.C38_LINES[i] + "\n" for i in order if i >= best),
+                            encoding="utf-8")
+            cache = FactorCache(path)
+            assert cache.skipped_lines == 0
+            assert cache.entry(38) == FactorCache._parse(line)[1]
 
     def test_put_rejects_wrong_value(self, tmp_path):
         cache = FactorCache(tmp_path / "cache.txt")
