@@ -4,7 +4,7 @@ for the neighboring open questions (Carmichael Cullen numbers and the
 totient ratio phi(C(n)) / gcd(C(n)-1, phi(C(n)))).
 """
 
-from .cullen import CullenNumber, binary_weight, cullen, odd_divisors, v2
+from .cullen import CullenNumber, cullen, odd_divisors, v2
 from .errors import BudgetError, FalsificationError, PrecisionError
 from .factoring import (
     COMPLETE,
@@ -25,9 +25,8 @@ from .factoring import (
     extend_factorization,
     general_factor,
     lehmer_constrained_factor,
-    np_bound_check,
 )
-from .predicates import RatioReport, is_carmichael, is_lehmer, is_pseudoprime, lehmer_ratio
+from .predicates import RatioReport, is_carmichael, is_lehmer, lehmer_ratio
 from .primality import (
     COMPOSITE,
     NOT_PRIME,
@@ -37,9 +36,7 @@ from .primality import (
     PrimalityVerdict,
     StructuredPrime,
     TwoThreePrime,
-    fermat_primes,
     fermat_status,
-    gen_structured_primes,
     gen_two_three_primes,
     is_prime,
     proth_test,

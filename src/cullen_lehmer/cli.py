@@ -30,6 +30,7 @@ from .factoring import (
     FactorCache,
     Factorization,
     LehmerSearchResult,
+    MAX_INDEX,
     VERDICT_PRIME,
     WorkCounter,
     extend_factorization,
@@ -326,8 +327,8 @@ def _cmd_rows(args, out) -> int:
         n_min = n_max = args.n
     else:
         n_min, n_max = args.n_min, args.n_max
-    if n_min < 1 or n_max < n_min:
-        raise UsageError("need 1 <= n_min <= n_max")
+    if not 1 <= n_min <= n_max <= MAX_INDEX:
+        raise UsageError(f"need 1 <= n_min <= n_max <= {MAX_INDEX}")
     budget, workers, cache = _resolve(args)
     research = args.command in ("ratio", "carmichael")
     fields = {"factor": FACTOR_FIELDS, "ratio": RESEARCH_FIELDS,

@@ -76,9 +76,3 @@ def odd_divisors(n: int) -> list[int]:
         divs = divs + [q * m for q in divs]
     return sorted(divs)
 
-
-def binary_weight(x: int) -> int:
-    """Number of ones in the binary expansion of x >= 0."""
-    if x < 0:
-        raise ValueError(f"binary_weight needs x >= 0, got {x}")
-    return x.bit_count()

@@ -51,6 +51,10 @@ VERDICT_TOTIENT = "totient_refuted"
 # general_factor divides out the primes up to this bound before rho
 TRIAL_BOUND = 10_000
 
+# the largest index a row or a cache line may name: C(MAX_INDEX) takes
+# 1.25 MB, and a larger or corrupt index would build a far larger C(n)
+MAX_INDEX = 10_000_000
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -432,7 +436,10 @@ def _trusted(search: LehmerSearchResult, cached: Factorization) -> bool:
     C(n)'s special form; and every structured divisor the search found must
     be listed.  The cofactor of a partial entry must be one general_factor
     leaves: free of the primes up to TRIAL_BOUND, and composite (the
-    search's verdict on its own cofactor is reused, not recomputed)."""
+    search's verdict on its own cofactor is reused, not recomputed).  A
+    partial entry's budget is taken on trust, since only rerunning rho
+    could check it: one that overstates it passes, and the row is less
+    factored than its budget would reach, but still correct."""
     c = cullen(search.n)
     within = (c.n1, c.n2)
     listed = [p for p, _ in cached.factors]
@@ -478,16 +485,14 @@ def extend_factorization(
     general_factor is deterministic given its input and budget, and every
     row starts a fresh counter, so a partial entry at budget B is what a row
     at budget B computes; at a smaller budget the row prints B's result.
-    A larger budget reruns rho from the start.  A partial entry with no
-    budget (a legacy line), one below the row's budget, or an untrusted
-    entry is treated as absent, and no entry replaces the search, which is
-    what gives the verdict."""
+    A larger budget reruns rho from the start.  A partial entry below the
+    row's budget, or an untrusted entry, is treated as absent, and no entry
+    replaces the search, which is what gives the verdict."""
     fact = result.factorization
     if result.verdict == VERDICT_PRIME:
         return fact
     if (cached is not None
-            and (cached.fact.is_complete
-                 or (cached.budget is not None and budget.rho_iterations <= cached.budget))
+            and (cached.fact.is_complete or budget.rho_iterations <= cached.budget)
             and _trusted(result, cached.fact)):
         return cached.fact
     if fact.is_complete:
@@ -543,50 +548,26 @@ def _cofactor_witness(
     )
 
 
-def np_bound_check(n: int, p: int) -> bool:
-    """Check v2(p-1) <= n for a proper divisor p > 1 of C(n).
-
-    If v2(p-1) exceeded n, then lam = C(n)/p would be congruent to 1 mod 2^n
-    yet smaller than n; those facts are jointly impossible, so the branch
-    replays them concretely and raises rather than returning a quiet False.
-    """
-    c = cullen(n)
-    if p <= 1 or p >= c.value:
-        raise ValueError(f"p must satisfy 1 < p < C({n})")
-    if c.value % p:
-        raise ValueError(f"{p} does not divide C({n})")
-    np_ = v2(p - 1)
-    if np_ <= n:
-        return True
-    lam = c.value // p
-    replay = {
-        "lambda_greater_than_1": lam > 1,
-        "lambda_is_1_mod_2^n": (lam - 1) % (1 << n) == 0,
-        "lambda_below_n": lam < n,
-    }
-    raise FalsificationError(
-        "np-bound",
-        f"v2(p-1) = {np_} > n = {n} for p = {p} | C({n}); replay: {replay}",
-    )
-
-
 @dataclass(frozen=True)
 class CacheEntry:
     """A factor cache record for C(n).  budget is the rho budget that left
-    a partial factorization partial; it is None for a complete one and for
-    a partial line written without one, which never stands in."""
+    a partial factorization partial, and None for a complete one.  It is
+    taken on trust, as only rerunning rho could check it: an overstated
+    budget lets the entry stand in for rows up to it, which then print a
+    correct factorization that is less complete than their budget reaches."""
 
     fact: Factorization
     budget: int | None = None
 
     def __post_init__(self):
-        if self.budget is not None and (self.fact.is_complete or self.budget < 0):
-            raise ValueError("only a partial entry carries a rho budget, at least 0")
+        if self.fact.is_complete != (self.budget is None) or (self.budget or 0) < 0:
+            raise ValueError("a partial entry needs its rho budget, at least 0, "
+                             "and a complete one has none")
 
-    def rank(self) -> tuple[bool, bool, int]:
-        """Complete above partial, then a budget above none, then the larger
-        budget: the order in which entries for one n say more."""
-        return self.fact.is_complete, self.budget is not None, self.budget or 0
+    def rank(self) -> tuple[bool, int]:
+        """Complete above partial, then the larger budget: the order in which
+        entries for one n say more."""
+        return self.fact.is_complete, self.budget or 0
 
 
 class FactorCache:
@@ -594,12 +575,12 @@ class FactorCache:
 
     One record per line: ``n<TAB>status<TAB>p1^e1 p2 ...<TAB>cofactor``
     (exponent suffix omitted when 1); lines starting with ``#`` are
-    comments.  status is ``complete``, ``partial@B`` for a partial
-    factorization left by rho budget B, or a bare ``partial`` (a legacy
-    line, kept but never standing in).  Malformed or arithmetically
-    inconsistent lines, including a line that is not UTF-8, a budget that
-    is not a non-negative integer of at most 20 digits, and a listed factor
-    below DETERMINISTIC_LIMIT that is not prime, are skipped with a logged
+    comments.  status is ``complete``, or ``partial@B`` for a partial
+    factorization left by rho budget B.  Malformed or arithmetically
+    inconsistent lines, including a line that is not UTF-8, an index above
+    MAX_INDEX, a bare ``partial`` with no budget, a budget that is not a
+    non-negative integer of at most 20 digits, and a listed factor below
+    DETERMINISTIC_LIMIT that is not prime, are skipped with a logged
     warning and counted, never silently trusted.  Of several lines for one
     n the one that says most is kept, by CacheEntry.rank, and the later one
     on a tie.  Writers funnel through one lock; readers see the snapshot
@@ -641,16 +622,17 @@ class FactorCache:
         parts = text.split("\t")
         if len(parts) != 4:
             raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
-        if len(parts[0]) > 8:
+        if len(parts[0]) > len(str(MAX_INDEX)):
             raise ValueError("index out of the cacheable range")
         n = int(parts[0])
-        if not 1 <= n <= 10_000_000:  # building C(n) for a corrupt index would hang
+        if not 1 <= n <= MAX_INDEX:
             raise ValueError(f"index {n} out of the cacheable range")
         status, at, token = parts[1].partition("@")
         budget = None
-        if at:
+        if at or status == PARTIAL:
             if status != PARTIAL or not (token.isascii() and token.isdigit()) or len(token) > 20:
-                raise ValueError("a rho budget must follow partial@ as at most 20 digits")
+                raise ValueError("a partial line needs its rho budget as partial@B, "
+                                 "B at most 20 digits")
             budget = int(token)
         c = cullen(n)
         # no number field of a valid line is longer than C(n) in decimal; a
@@ -687,19 +669,18 @@ class FactorCache:
     def entry(self, n: int) -> CacheEntry | None:
         return self._entries.get(n)
 
-    def get(self, n: int) -> Factorization | None:
-        entry = self._entries.get(n)
-        return entry.fact if entry else None
-
     def put(self, n: int, fact: Factorization, budget: int | None = None) -> None:
-        """Append C(n)'s factorization; a partial one is written with budget,
-        the rho budget that left it partial, when one is given.  Nothing is
-        written when the held entry says more, since no load would keep the
-        line: a row refuses such an entry, at a larger budget, at each use."""
+        """Append C(n)'s factorization; a partial one needs budget, the rho
+        budget that left it partial, and a complete one ignores it.  Nothing
+        is written when the held entry says more, since no load would keep
+        the line: a row refuses such an entry, at a larger budget, at each
+        use."""
+        if not 1 <= n <= MAX_INDEX:
+            raise ValueError(f"index {n} out of the cacheable range")
         if fact.value != cullen(n).value:
             raise ValueError(f"factorization value is not C({n})")
         entry = CacheEntry(fact, None if fact.is_complete else budget)
-        status = fact.status if entry.budget is None else f"{PARTIAL}@{entry.budget}"
+        status = fact.status if fact.is_complete else f"{PARTIAL}@{budget}"
         line = f"{n}\t{status}\t{fact.summary()}\t{fact.cofactor}\n"
         with self._lock:
             if self._outranked(n, entry):

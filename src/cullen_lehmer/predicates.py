@@ -1,9 +1,9 @@
 """Arithmetical predicates over factored values: the Lehmer property,
-Korselt's criterion, base-a pseudoprimality, and the exact totient ratio.
+Korselt's criterion, and the exact totient ratio.
 
-Every predicate takes an explicit factorization (or verdict) rather than
-factoring internally, so effort budgets stay in the factoring engine and
-cached factorizations are reused for free.
+Every predicate takes an explicit factorization rather than factoring
+internally, so effort budgets stay in the factoring engine and cached
+factorizations are reused for free.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from math import gcd
 
 from .cullen import cullen
 from .factoring import COMPLETE, Factorization, euler_phi
-from .primality import COMPOSITE, PRIME, PrimalityVerdict
 
 
 @dataclass(frozen=True)
@@ -63,36 +62,6 @@ def is_carmichael(N: int, f: Factorization) -> bool:
     if any(k > 1 for _, k in f.factors):
         return False
     return all((N - 1) % (p - 1) == 0 for p, _ in f.factors)
-
-
-def _compositeness(N: int, evidence: Factorization | PrimalityVerdict) -> bool:
-    if isinstance(evidence, PrimalityVerdict):
-        if evidence.value != N:
-            raise ValueError(f"verdict is about {evidence.value}, not {N}")
-        if evidence.status == COMPOSITE:
-            return True
-        if evidence.status == PRIME:
-            return False
-        raise ValueError("compositeness undecidable from this verdict")
-    if evidence.value != N:
-        raise ValueError(f"factorization is of {evidence.value}, not {N}")
-    if evidence.status == COMPLETE:
-        return _composite_from_complete(evidence)
-    if evidence.factors:
-        # any listed prime is a nontrivial divisor of the partial's value
-        return True
-    raise ValueError("compositeness undecidable from an empty partial factorization")
-
-
-def is_pseudoprime(N: int, a: int, evidence: Factorization | PrimalityVerdict) -> bool:
-    """True iff N is composite and a^N = a (mod N)."""
-    if N < 2:
-        raise ValueError(f"N must be at least 2, got {N}")
-    if a < 2:
-        raise ValueError(f"base must be at least 2, got {a}")
-    if not _compositeness(N, evidence):
-        return False
-    return pow(a, N, N) == a % N
 
 
 def lehmer_ratio(n: int, f: Factorization) -> RatioReport:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .cullen import odd_divisors, v2
+from .cullen import v2
 from .errors import BudgetError
 
 PRIME = "prime"
@@ -325,18 +325,11 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
     return is_prime(N, within=(n1, n2))
 
 
-FERMAT_PRIMES = ((0, 3), (1, 5), (2, 17), (3, 257), (4, 65537))
-
 # Compositeness witnesses cheap enough to recheck live on every call.  For
 # 7..18 compositeness is settled in the literature, but certifying it here
 # would need factor tables or Pepin runs we do not reproduce; fermat_status
 # flags those verdicts as external.
 _FERMAT_FACTORS = {5: 641, 6: 274177}
-
-
-def fermat_primes() -> tuple[tuple[int, int], ...]:
-    """The five known Fermat primes as (gamma, 2^2^gamma + 1) pairs."""
-    return FERMAT_PRIMES
 
 
 @dataclass(frozen=True)
@@ -414,21 +407,6 @@ def structured_verdict(m: int, e: int) -> PrimalityVerdict:
     if verdict.status == PROBABLE_PRIME:
         raise BudgetError(f"cannot certify primality of {m}*2^{e}+1")
     return verdict
-
-
-def gen_structured_primes(n: int, e_max: int) -> list[StructuredPrime]:
-    """All primes m*2^e + 1 with m an odd divisor of n and 1 <= e <= e_max,
-    ascending by value.  The representation (m, e) with m odd is unique, so
-    no duplicates can arise."""
-    if n < 1 or e_max < 1:
-        raise ValueError("n and e_max must be positive")
-    found = []
-    for m in odd_divisors(n):
-        for e in range(1, e_max + 1):
-            if structured_verdict(m, e).is_prime:
-                found.append(StructuredPrime(m, e, (m << e) + 1))
-    found.sort(key=lambda sp: sp.value)
-    return found
 
 
 def gen_two_three_primes(limit: int) -> list[TwoThreePrime]:

@@ -18,12 +18,13 @@ from cullen_lehmer import (
     cullen,
     fermat_binary_obstruction,
     divisibility_check,
-    gen_structured_primes,
     lehmer_constrained_factor,
+    odd_divisors,
     pigeonhole_pair,
     two_three_product_bound,
 )
 from cullen_lehmer.factoring import VERDICT_PRIME
+from cullen_lehmer.primality import structured_verdict
 
 from conftest import body_of, parse_jsonl, run_cli
 
@@ -172,7 +173,8 @@ def test_c5_a_expression_divisibility():
 def test_c6_worked_micro_instance():
     c = cullen(6)
     assert c.value == 385 == 5 * 7 * 11
-    candidates = [sp.value for sp in gen_structured_primes(6, c.n2)]
+    candidates = sorted((m << e) + 1 for m in odd_divisors(6) for e in range(1, c.n2 + 1)
+                        if structured_verdict(m, e).is_prime)
     assert candidates == [3, 5, 7, 13, 17, 97, 193]
     r = lehmer_constrained_factor(6)
     assert r.verdict == "structurally_refuted"

@@ -3,16 +3,20 @@ import io
 import json
 import os
 import sys
+from math import prod
+from pathlib import Path
 
 import pytest
 
 from cullen_lehmer import cullen
 from cullen_lehmer.cli import (
-    EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, FACTOR_FIELDS, _resolve, build_parser, main,
+    EXIT_FALSIFIED, EXIT_OK, EXIT_USAGE, FACTOR_FIELDS, _resolve, build_parser, entry, main,
 )
 from cullen_lehmer.errors import FalsificationError
-from cullen_lehmer.factoring import FactorCache
-from cullen_lehmer.primality import DETERMINISTIC_LIMIT, PROBABLE_PRIME, PrimalityVerdict
+from cullen_lehmer.factoring import MAX_INDEX, FactorCache
+from cullen_lehmer.primality import (
+    DETERMINISTIC_LIMIT, PROBABLE_PRIME, PrimalityVerdict, is_prime,
+)
 
 from conftest import body_of, parse_jsonl, run_cli
 
@@ -102,6 +106,26 @@ class TestCheckAndScan:
                     assert out.getvalue() == ""
                     assert "must be at least" in capsys.readouterr().err
         assert not (tmp_path / "c.txt").exists()
+
+    def test_index_above_max_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # refused before any row starts: C(10^11) alone would need 12.5 GB,
+        # and a cache line above MAX_INDEX would be skipped on the next load
+        import cullen_lehmer.cli as cli_mod
+
+        def refuse(n):
+            raise AssertionError(f"row {n} started")
+
+        monkeypatch.setattr(cli_mod, "lehmer_constrained_factor", refuse)
+        cache = tmp_path / "c.txt"
+        for argv in (["check", str(MAX_INDEX + 1)], ["scan", "1", str(MAX_INDEX + 1)],
+                     ["check", "100000000000"]):
+            out = io.StringIO()
+            assert main([*argv, "--cache", str(cache)], out=out) == EXIT_USAGE, argv
+            assert out.getvalue() == ""
+            assert f"n_max <= {MAX_INDEX}" in capsys.readouterr().err
+        assert not cache.exists()
+        with pytest.raises(AssertionError, match=f"row {MAX_INDEX} started"):
+            main(["check", str(MAX_INDEX), "--cache", str(cache)], out=io.StringIO())
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
         # resolved without starting a pool, so the huge request costs nothing
@@ -261,11 +285,12 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("command", ["check", "factor"])
     def test_partial_cache_entry_does_not_replace_factoring(self, command, tmp_path):
-        # a valid partial line is kept by the cache but not trusted by a row:
-        # the row factors C(6) itself, reports no cached state and stores the
-        # complete factorization, which the next run reads back
+        # a valid partial line at a budget above the row's is kept by the
+        # cache but not trusted by a row, as it leaves out the structured
+        # divisor 7: the row factors C(6) itself, reports no cached state and
+        # stores the complete factorization, which the next run reads back
         cache = tmp_path / "c.txt"
-        cache.write_text("6\tpartial\t5\t77\n", encoding="utf-8")
+        cache.write_text("6\tpartial@4096\t5\t77\n", encoding="utf-8")
         rows = []
         for _ in range(2):
             out = io.StringIO()
@@ -276,7 +301,8 @@ class TestDeterminism:
         for row in rows:
             assert (row["factors"], row["factor_status"], row["cofactor"]) == ("5 7 11", "complete", 1)
         assert [row["from_cache"] for row in rows] == [False, True]
-        assert cache.read_text(encoding="utf-8") == "6\tpartial\t5\t77\n6\tcomplete\t5 7 11\t1\n"
+        assert cache.read_text(encoding="utf-8") == (
+            "6\tpartial@4096\t5\t77\n6\tcomplete\t5 7 11\t1\n")
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_row_from_cache_appends_nothing(self, workers, tmp_path):
@@ -307,8 +333,8 @@ class TestDeterminism:
         assert not cache.exists()
 
     @pytest.mark.parametrize("line", [
-        "6\tcomplete\t11 35\t1",    # 35 is not prime; the ratio would read 85
-        "6\tpartial\t5 7 11\t1",    # partial needs a cofactor above 1
+        "6\tcomplete\t11 35\t1",         # 35 is not prime; the ratio would read 85
+        "6\tpartial@4096\t5 7 11\t1",    # partial needs a cofactor above 1
     ])
     def test_inconsistent_cache_line_skipped(self, tmp_path, line):
         cache = tmp_path / "c.txt"
@@ -422,7 +448,7 @@ class TestPartialCacheEntries:
         cache = tmp_path / "c.txt"
         assert run_cli("ratio", *self.BAND, "--cache", cache)[0] == EXIT_OK
         first = FactorCache(cache)
-        partial = {n for n in range(169, 201) if not first.get(n).is_complete}
+        partial = {n for n in range(169, 201) if not first.entry(n).fact.is_complete}
         before = cache.read_text(encoding="utf-8").splitlines()
         code, out, err = run_cli("ratio", 169, 200, "--budget", 8192, "--cache", cache)
         assert code == EXIT_OK, err
@@ -447,7 +473,7 @@ class TestPartialCacheEntries:
         code, out, err = run_cli("factor", 169, "--budget", 0, "--cache", cache)
         assert code == EXIT_OK, err
         row = parse_jsonl(out)[1][0]
-        fact = FactorCache(cache).get(169)
+        fact = FactorCache(cache).entry(169).fact
         assert row["from_cache"] and row["rho_iterations"] == 0
         assert (row["factors"], row["factor_status"], row["cofactor"]) == (
             fact.summary(), "partial", fact.cofactor)
@@ -460,7 +486,7 @@ class TestPartialCacheEntries:
         statuses = [row["factor_status"] for row in parse_jsonl(out)[1]]
         assert statuses.count("complete") == 1 and statuses.count("partial") == 10
         assert cache.read_text(encoding="utf-8") == "158\tcomplete\t" + (
-            FactorCache(cache).get(158).summary() + "\t1\n")
+            FactorCache(cache).entry(158).fact.summary() + "\t1\n")
 
     @pytest.mark.parametrize("line, reason", [
         ("38\tpartial@262144\t3^2 20879\t55586743", "the cofactor is prime"),
@@ -493,6 +519,22 @@ class TestPartialCacheEntries:
             assert body_of(out) == body_of(fresh[1])
         assert cache.read_text(encoding="utf-8") == line
 
+    def test_overstated_budget_taken_on_trust(self, tmp_path):
+        # only rerunning rho could check a line's budget: this one claims
+        # 999999 for what 4096 leaves, so a row at 4096 prints it, less
+        # factored than a fresh row (3 113 2371 11771611) but still correct
+        x = 13365611014617493685054130106268808468331
+        cache = tmp_path / "c.txt"
+        cache.write_text(f"169\tpartial@999999\t3 113 2371\t{11771611 * x}\n",
+                         encoding="utf-8")
+        code, out, err = run_cli("factor", 169, "--budget", 4096, "--cache", cache)
+        assert code == EXIT_OK, err
+        row = parse_jsonl(out)[1][0]
+        assert row["from_cache"] is True and row["factors"] == "3 113 2371"
+        factors = [int(p) for p in row["factors"].split()]
+        assert all(is_prime(p).is_prime for p in factors)
+        assert prod(factors) * row["cofactor"] == cullen(169).value
+
     @pytest.mark.parametrize("token, skipped", [
         ("4096", False), ("-1", True), ("+4096", True), ("4e3", True), ("", True),
         ("9" * 21, True), ("\u0664\u0660\u0669\u0666", True), (" 4096", True),
@@ -503,7 +545,7 @@ class TestPartialCacheEntries:
         fresh_cache = tmp_path / "fresh.txt"
         code, fresh, _ = run_cli("factor", 169, "--budget", 4096, "--cache", fresh_cache)
         assert code == EXIT_OK
-        fact = FactorCache(fresh_cache).get(169)
+        fact = FactorCache(fresh_cache).entry(169).fact
         cache = tmp_path / "c.txt"
         cache.write_text(f"169\tpartial@{token}\t{fact.summary()}\t{fact.cofactor}\n",
                          encoding="utf-8")
@@ -656,3 +698,20 @@ class TestExitCodes:
         bad = tmp_path / "missing-dir" / "c.txt"
         code, _, err = run_cli("factor", "6", "--cache", bad)
         assert code == 4
+
+
+class TestConsoleScript:
+    """pyproject.toml maps the cullen script to cli.entry, which exits with
+    main's exit code."""
+
+    def test_entry_exits_with_main_code(self, tmp_path, monkeypatch, capsys):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'cullen = "cullen_lehmer.cli:entry"' in pyproject.read_text(encoding="utf-8")
+        cache = tmp_path / "c.txt"
+        for argv, code in ((["check", "0"], EXIT_USAGE),
+                           (["check", "6", "--budget", "0", "--cache", str(cache)], EXIT_OK)):
+            monkeypatch.setattr(sys, "argv", ["cullen", *argv])
+            with pytest.raises(SystemExit) as exc:
+                entry()
+            assert exc.value.code == code, argv
+        assert parse_jsonl(capsys.readouterr().out)[1][0]["factors"] == "5 7 11"

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cullen_lehmer import binary_weight, cullen, odd_divisors, v2
+from cullen_lehmer import cullen, odd_divisors, v2
 
 
 def brute_odd_divisors(n):
@@ -73,24 +73,6 @@ class TestOddDivisors:
     @settings(max_examples=150)
     def test_matches_brute_force_property(self, n):
         assert odd_divisors(n) == brute_odd_divisors(n)
-
-
-class TestBinaryWeight:
-    def test_examples(self):
-        assert binary_weight(0) == 0
-        assert binary_weight(15) == 4
-        # C(6) = 385 = 110000001 in binary
-        assert bin(385) == "0b110000001"
-        assert binary_weight(cullen(6).value) == 3
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binary_weight(-1)
-
-    @given(st.integers(min_value=0, max_value=1 << 200))
-    @settings(max_examples=200)
-    def test_matches_binary_printing(self, x):
-        assert binary_weight(x) == bin(x).count("1")
 
 
 def test_v2():

@@ -15,12 +15,12 @@ from cullen_lehmer import (
     euler_phi,
     general_factor,
     lehmer_constrained_factor,
-    np_bound_check,
     odd_divisors,
     v2,
 )
 from cullen_lehmer.factoring import (
     COMPLETE,
+    MAX_INDEX,
     PARTIAL,
     TRIAL_BOUND,
     VERDICT_PRIME,
@@ -467,25 +467,18 @@ class TestLehmerConstrainedFactor:
 
 
 class TestNpBoundCheck:
+    """v2(p-1) <= n for every proper divisor p > 1 of C(n)."""
+
     def test_examples(self):
-        assert np_bound_check(6, 5) is True
         assert v2(4) == 2
-        assert np_bound_check(6, 11) is True
-        assert np_bound_check(2, 3) is True
+        for n, p in ((6, 5), (6, 11), (2, 3)):
+            assert cullen(n).value % p == 0 and v2(p - 1) <= n
 
     def test_all_proper_factors_in_corpus(self, factored_corpus):
         for n, full in factored_corpus.items():
             for p, _ in full.factors:
                 if p < cullen(n).value:
-                    assert np_bound_check(n, p), (n, p)
-
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError):
-            np_bound_check(6, 13)
-
-    def test_rejects_value_itself(self):
-        with pytest.raises(ValueError):
-            np_bound_check(2, 9)
+                    assert v2(p - 1) <= n, (n, p)
 
 
 class TestFactorCache:
@@ -494,34 +487,51 @@ class TestFactorCache:
         cache = FactorCache(path)
         f = general_factor(cullen(6).value)
         cache.put(6, f)
-        assert cache.get(6) == f
-        assert cache.get(7) is None
+        assert cache.entry(6) == CacheEntry(f)
+        assert cache.entry(7) is None
         # survives a fresh load
         again = FactorCache(path)
-        assert again.get(6) == f
+        assert again.entry(6) == CacheEntry(f)
 
     def test_partial_entries_persist(self, tmp_path):
+        # a partial factorization is written only with the rho budget that
+        # left it partial
         path = tmp_path / "cache.txt"
         cache = FactorCache(path)
         c = cullen(9)
         f = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
-        cache.put(9, f)
-        assert FactorCache(path).get(9) == f
+        with pytest.raises(ValueError):
+            cache.put(9, f)
+        assert not path.exists()
+        cache.put(9, f, 0)
+        assert FactorCache(path).entry(9) == CacheEntry(f, 0)
+
+    def test_entry_has_a_budget_exactly_when_partial(self):
+        c = cullen(9)
+        partial = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
+        complete = general_factor(c.value)
+        for fact, budget in ((partial, None), (partial, -1), (complete, 0)):
+            with pytest.raises(ValueError):
+                CacheEntry(fact, budget)
+        assert CacheEntry(partial, 0).rank() < CacheEntry(partial, 1).rank() < (
+            CacheEntry(complete).rank())
 
     def test_partial_entry_keeps_its_budget(self, tmp_path):
         path = tmp_path / "cache.txt"
         c = cullen(9)
         f = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
+        f6 = general_factor(cullen(6).value)
         cache = FactorCache(path)
         cache.put(9, f, 4096)
-        cache.put(6, general_factor(cullen(6).value), 4096)  # complete: no budget
+        cache.put(6, f6, 4096)  # complete: no budget
         assert path.read_text(encoding="utf-8") == (
             f"9\tpartial@4096\t11\t{c.value // 11}\n6\tcomplete\t5 7 11\t1\n")
         again = FactorCache(path)
         assert again.entry(9) == CacheEntry(f, 4096)
-        assert again.entry(6) == CacheEntry(again.get(6), None)
+        assert again.entry(6) == CacheEntry(f6)
 
-    # C(38) = 3^2 * 20879 * 55586743
+    # C(38) = 3^2 * 20879 * 55586743: the lines from the most informative
+    # down, then a partial line without a budget, which every load skips
     C38_LINES = [
         "38\tcomplete\t3^2 20879 55586743\t1",
         "38\tpartial@262144\t3^2\t1160595607097",
@@ -531,22 +541,36 @@ class TestFactorCache:
 
     @pytest.mark.parametrize("order", list(permutations(range(4))))
     def test_most_informative_entry_kept(self, order, tmp_path):
-        # complete over partial, then the larger budget, then any budget over
-        # none, whatever the line order (a partial line appended after the
-        # complete one by a concurrent writer included); each line is kept
-        # once the lines that say more are gone
+        # complete over partial, then the larger budget, whatever the line
+        # order (a partial line appended after the complete one by a
+        # concurrent writer included); each line is kept once the lines that
+        # say more are gone, and the line without a budget, wherever it
+        # falls, is skipped and counted
         path = tmp_path / "cache.txt"
-        for best, line in enumerate(self.C38_LINES):
+        for best, line in enumerate(self.C38_LINES[:3]):
             path.write_text("".join(self.C38_LINES[i] + "\n" for i in order if i >= best),
                             encoding="utf-8")
             cache = FactorCache(path)
-            assert cache.skipped_lines == 0
+            assert cache.skipped_lines == 1
             assert cache.entry(38) == FactorCache._parse(line)[1]
 
     def test_put_rejects_wrong_value(self, tmp_path):
         cache = FactorCache(tmp_path / "cache.txt")
         with pytest.raises(ValueError):
             cache.put(5, general_factor(385))  # 385 is C(6), not C(5)
+
+    def test_put_checks_the_index_before_building_c(self, tmp_path, monkeypatch):
+        import cullen_lehmer.factoring as factoring
+
+        def refuse(n):
+            raise AssertionError(f"C({n}) built")
+
+        monkeypatch.setattr(factoring, "cullen", refuse)
+        cache = FactorCache(tmp_path / "cache.txt")
+        for n in (0, MAX_INDEX + 1):
+            with pytest.raises(ValueError, match="cacheable range"):
+                cache.put(n, general_factor(385))
+        assert not (tmp_path / "cache.txt").exists()
 
     def test_malformed_lines_skipped_with_warning(self, tmp_path, caplog):
         path = tmp_path / "cache.txt"
@@ -558,15 +582,16 @@ class TestFactorCache:
             + "6\tcomplete\t5 7\t1\n"          # product does not reproduce C(6)
             + "2\tbogus-status\t3^2\t1\n"       # unknown status
             + "6\tcomplete\t11 35\t1\n"         # 35 is not prime
+            + "6\tpartial\t5\t77\n"             # partial without its rho budget
             + "11\tcomplete\t13 1733\t1\n",
             encoding="utf-8",
         )
         with caplog.at_level(logging.WARNING):
             cache = FactorCache(path)
-        assert cache.skipped_lines == 4
-        assert sum("skipped" in rec.message for rec in caplog.records) == 4
-        assert cache.get(6).summary() == "5 7 11"
-        assert cache.get(11).factors == ((13, 1), (1733, 1))
+        assert cache.skipped_lines == 5
+        assert sum("skipped" in rec.message for rec in caplog.records) == 5
+        assert cache.entry(6).fact.summary() == "5 7 11"
+        assert cache.entry(11).fact.factors == ((13, 1), (1733, 1))
         assert len(cache) == 2
 
 
@@ -586,10 +611,10 @@ class TestPastTheDigitLimit:
         int_digit_limit(0)
         f = self.split()
         path = tmp_path / "cache.txt"
-        FactorCache(path).put(self.N, f)
+        FactorCache(path).put(self.N, f, 0)
         assert len(path.read_text(encoding="utf-8")) > 4300
         again = FactorCache(path)
-        assert again.skipped_lines == 0 and again.get(self.N) == f
+        assert again.skipped_lines == 0 and again.entry(self.N) == CacheEntry(f, 0)
 
     def test_cofactor_witness(self, int_digit_limit):
         from cullen_lehmer.factoring import _cofactor_witness
@@ -607,16 +632,17 @@ class TestPastTheDigitLimit:
         digits = len(str(cullen(self.N).value))
         path = tmp_path / "cache.txt"
         path.write_text(
-            f"{self.N}\tpartial\t3\t{'9' * (digits + 2)}\n"   # cofactor too long
-            f"{self.N}\tpartial\t{'7' * (digits + 2)}\t3\n"   # factor too long
+            f"{self.N}\tpartial@4096\t3\t{'9' * (digits + 2)}\n"   # cofactor too long
+            f"{self.N}\tpartial@4096\t{'7' * (digits + 2)}\t3\n"   # factor too long
             f"{self.N}\tcomplete\t3^{'1' * 9}\t1\n"           # 3^111111111 > C(n)
-            "123456789\tcomplete\t3\t1\n",                      # index too long
+            "123456789\tcomplete\t3\t1\n"                       # index too long
+            f"{MAX_INDEX + 1}\tcomplete\t3\t1\n",                # index too large
             encoding="utf-8",
         )
         with caplog.at_level(logging.WARNING):
             cache = FactorCache(path)
-        assert cache.skipped_lines == 4 and len(cache) == 0
+        assert cache.skipped_lines == 5 and len(cache) == 0
         reasons = [rec.getMessage() for rec in caplog.records]
         assert sum(f"longer than C({self.N})" in r for r in reasons) == 2
         assert sum("exponent is out of range" in r for r in reasons) == 1
-        assert sum("cacheable range" in r for r in reasons) == 1
+        assert sum("cacheable range" in r for r in reasons) == 2

@@ -9,8 +9,6 @@ from cullen_lehmer import (
     general_factor,
     is_carmichael,
     is_lehmer,
-    is_prime,
-    is_pseudoprime,
     lehmer_constrained_factor,
     lehmer_ratio,
 )
@@ -122,7 +120,8 @@ class TestIsCarmichael:
     def test_carmichael_implies_pseudoprime_everywhere(self, spf_table):
         for n in (561, 1105, 1729, 2465, 41041):
             f = factorization_from_spf(n, spf_table)
-            assert all(is_pseudoprime(n, a, f) for a in range(2, 51))
+            assert is_carmichael(n, f)
+            assert all(pow(a, n, n) == a for a in range(2, 51))
 
     def test_lehmer_implies_carmichael_wiring(self, spf_table):
         # vacuous on this range (no Lehmer numbers exist below 10^5), but
@@ -131,29 +130,6 @@ class TestIsCarmichael:
             f = factorization_from_spf(n, spf_table)
             if is_lehmer(n, f):
                 assert is_carmichael(n, f)
-
-
-class TestIsPseudoprime:
-    def test_examples(self):
-        f341 = general_factor(341)
-        assert f341.factors == ((11, 1), (31, 1))
-        assert pow(2, 341, 341) == 2
-        assert is_pseudoprime(341, 2, f341) is True
-        assert is_pseudoprime(97, 2, general_factor(97)) is False
-        f9 = general_factor(9)
-        assert pow(2, 9, 9) == 8
-        assert is_pseudoprime(9, 2, f9) is False
-
-    def test_accepts_verdicts(self):
-        assert is_pseudoprime(341, 2, is_prime(341)) is True
-        assert is_pseudoprime(97, 2, is_prime(97)) is False
-
-    def test_undecidable_raises(self):
-        with pytest.raises(ValueError):
-            is_pseudoprime(341, 2, Factorization(341, (), PARTIAL, cofactor=341))
-        probable = is_prime(2**521 - 1)
-        with pytest.raises(ValueError):
-            is_pseudoprime(2**521 - 1, 2, probable)
 
 
 class TestLehmerRatio:

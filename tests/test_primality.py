@@ -8,12 +8,11 @@ from cullen_lehmer import (
     PRIME,
     PROBABLE_PRIME,
     cullen,
-    fermat_primes,
     fermat_status,
-    gen_structured_primes,
     gen_two_three_primes,
     is_prime,
     lehmer_constrained_factor,
+    odd_divisors,
     proth_test,
 )
 from cullen_lehmer.primality import (
@@ -28,6 +27,7 @@ from cullen_lehmer.primality import (
     _small_factor,
     _small_prime_divisors,
     _strong_lucas_prp,
+    structured_verdict,
 )
 
 
@@ -317,9 +317,6 @@ class TestSpecialForm:
 
 
 class TestFermat:
-    def test_fermat_primes_list(self):
-        assert fermat_primes() == ((0, 3), (1, 5), (2, 17), (3, 257), (4, 65537))
-
     def test_f5_composite_by_trial_division(self):
         f5 = 2**32 + 1
         assert f5 == 4294967297
@@ -345,27 +342,37 @@ class TestFermat:
             fermat_status(bad)
 
 
+def structured_primes(n, e_max):
+    """The primes m*2^e + 1 with m an odd divisor of n and 1 <= e <= e_max,
+    ascending, as structured_verdict decides them."""
+    return sorted((m << e) + 1 for m in odd_divisors(n) for e in range(1, e_max + 1)
+                  if structured_verdict(m, e).is_prime)
+
+
 class TestStructuredPrimes:
     def test_examples(self):
-        assert [sp.value for sp in gen_structured_primes(6, 7)] == [3, 5, 7, 13, 17, 97, 193]
-        assert [sp.value for sp in gen_structured_primes(1, 4)] == [3, 5, 17]
-        assert [sp.value for sp in gen_structured_primes(1, 1)] == [3]
+        assert structured_primes(6, 7) == [3, 5, 7, 13, 17, 97, 193]
+        assert structured_primes(1, 4) == [3, 5, 17]
+        assert structured_primes(1, 1) == [3]
 
     def test_shape_invariants(self):
+        # decisive on every form, by Proth (m < 2^e) or Miller-Rabin, and
+        # the representation with m odd is unique
         for n, e_max in ((6, 7), (45, 12), (64, 10), (100, 16)):
             values = []
-            for sp in gen_structured_primes(n, e_max):
-                assert sp.m % 2 == 1 and n % sp.m == 0
-                assert 1 <= sp.e <= e_max
-                assert sp.value == sp.m * 2**sp.e + 1
-                assert is_prime(sp.value).is_prime
-                values.append(sp.value)
-            assert values == sorted(set(values))
+            for m in odd_divisors(n):
+                for e in range(1, e_max + 1):
+                    verdict = structured_verdict(m, e)
+                    assert verdict.value == m * 2**e + 1
+                    assert verdict.status in (PRIME, COMPOSITE)
+                    assert verdict.is_prime == is_prime(verdict.value).is_prime
+                    values.append(verdict.value)
+            assert len(values) == len(set(values))
 
     def test_predecessor_divides_budget(self):
         n, e_max = 12, 9
-        for sp in gen_structured_primes(n, e_max):
-            assert (n * 2**e_max) % (sp.value - 1) == 0
+        for p in structured_primes(n, e_max):
+            assert (n * 2**e_max) % (p - 1) == 0
 
 
 class TestTwoThreePrimes:
