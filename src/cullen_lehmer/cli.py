@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -177,7 +178,7 @@ class _Record:
 
     @property
     def n(self) -> int:
-        return self.search.n
+        return self.search.c.n
 
 
 def _compute(n: int, budget: FactorBudget, cached: CacheEntry | None) -> _Record:
@@ -187,25 +188,22 @@ def _compute(n: int, budget: FactorBudget, cached: CacheEntry | None) -> _Record
     predicates."""
     counter = WorkCounter()
     search = lehmer_constrained_factor(n)
-    fact = extend_factorization(search, budget, counter, cached)
+    fact, from_cache = extend_factorization(search, budget, counter, cached)
     ratio = carmichael = None
     if fact.is_complete:
         ratio = lehmer_ratio(n, fact)
         carmichael = is_carmichael(fact.value, fact)
-    from_cache = cached is not None and fact is cached.fact
     return _Record(search, fact, from_cache, counter, ratio, carmichael)
 
 
 def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
-    """Yield a _Record per index in ascending n, appending to the cache each
-    factorization a row computed that a later row can read back: a complete
-    one, except a prime C(n)'s, and a partial one when rho ran, with its
-    budget; independent indices may be computed by a process pool."""
+    """Yield a _Record per index in ascending n, offering each row's
+    factorization to the cache, whose put decides what is written.  A
+    process pool computes independent indices with at most 2*workers of
+    them in flight, so that a reader that stops early stops the work."""
 
     def stored(record: _Record) -> _Record:
-        if (not record.from_cache and record.search.verdict != VERDICT_PRIME
-                and (record.fact.is_complete or budget.rho_iterations > 0)):
-            cache.put(record.n, record.fact, budget.rho_iterations)
+        cache.put(record.n, record.fact, budget.rho_iterations)
         return record
 
     if workers <= 1 or len(ns) <= 1:
@@ -213,9 +211,13 @@ def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
             yield stored(_compute(n, budget, cache.entry(n)))
         return
     with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_digit_limit) as pool:
-        futures = [pool.submit(_compute, n, budget, cache.entry(n)) for n in ns]
-        for future in futures:  # submission order is ascending n
-            yield stored(future.result())
+        window = deque()  # futures in submission order, which is ascending n
+        for n in ns:
+            window.append(pool.submit(_compute, n, budget, cache.entry(n)))
+            if len(window) == 2 * workers:
+                yield stored(window.popleft().result())
+        while window:
+            yield stored(window.popleft().result())
 
 
 # ---------------------------------------------------------------------------

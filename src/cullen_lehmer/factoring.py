@@ -60,22 +60,17 @@ MAX_INDEX = 10_000_000
 class Factorization:
     """A value with its known prime factors and the unfactored remainder.
 
-    cofactor is 1 exactly when the factorization is complete; when partial
-    it holds the remainder, which may be composite or simply undecided.
+    status is complete exactly when cofactor is 1; when partial, cofactor
+    holds the remainder, which may be composite or simply undecided.
     probable lists any factor whose primality verdict is only probable.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
-    status: str
     cofactor: int = 1
     probable: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.status not in (COMPLETE, PARTIAL):
-            raise ValueError(f"unknown status {self.status!r}")
-        if (self.status == COMPLETE) != (self.cofactor == 1):
-            raise ValueError("cofactor must be 1 exactly when the factorization is complete")
         if self.cofactor < 1:
             raise ValueError("cofactor must be positive")
         primes = [p for p, _ in self.factors]
@@ -91,7 +86,11 @@ class Factorization:
 
     @property
     def is_complete(self) -> bool:
-        return self.status == COMPLETE
+        return self.cofactor == 1
+
+    @property
+    def status(self) -> str:
+        return COMPLETE if self.is_complete else PARTIAL
 
     def summary(self) -> str:
         toks = [f"{p}^{k}" if k > 1 else str(p) for p, k in self.factors]
@@ -231,13 +230,10 @@ def general_factor(
             settle(d)
             settle(comp // d)
 
-    cofactor = prod(leftovers) if leftovers else 1
-    status = COMPLETE if cofactor == 1 else PARTIAL
     return Factorization(
         value=N,
         factors=tuple(sorted(found.items())),
-        status=status,
-        cofactor=cofactor,
+        cofactor=prod(leftovers),
         probable=tuple(sorted(probable)),
     )
 
@@ -259,9 +255,10 @@ class RefutationWitness:
 
 @dataclass(frozen=True)
 class LehmerSearchResult:
-    """Outcome of the structured factor search for one index."""
+    """Outcome of the structured factor search for C(n); later steps read
+    the CullenNumber c it built instead of building C(n) again."""
 
-    n: int
+    c: CullenNumber
     structured_divisors: tuple[StructuredPrime, ...]
     verdict: str
     witness: RefutationWitness
@@ -362,13 +359,13 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     hits = _structured_hits(c)
     head = _cullen_verdict(c, hits)
     if head.status == PRIME:
-        fact = Factorization(c.value, ((c.value, 1),), COMPLETE)
+        fact = Factorization(c.value, ((c.value, 1),))
         witness = RefutationWitness(
             kind="proth_certificate",
             detail=f"C({n}) is prime (Proth base {head.witness})",
             proth_base=head.witness,
         )
-        return LehmerSearchResult(n, (), VERDICT_PRIME, witness, fact)
+        return LehmerSearchResult(c, (), VERDICT_PRIME, witness, fact)
     if head.status != COMPOSITE:
         raise BudgetError(f"could not certify C({n}) prime or composite")
 
@@ -393,21 +390,20 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
             repeated = value
             break
 
-    status = COMPLETE if remaining == 1 else PARTIAL
-    fact = Factorization(c.value, tuple(factors), status, cofactor=remaining)
+    fact = Factorization(c.value, tuple(factors), cofactor=remaining)
     if repeated is not None:
         witness = RefutationWitness(
             kind="repeated_prime",
             detail=f"{repeated}^2 divides C({n}), so C({n}) is not squarefree",
             repeated_prime=repeated,
         )
-        return LehmerSearchResult(n, tuple(divisors), VERDICT_SQUAREFREE, witness, fact)
+        return LehmerSearchResult(c, tuple(divisors), VERDICT_SQUAREFREE, witness, fact)
     if remaining > 1:
         # a cofactor equal to C(n) is proven composite by head already
         verdict = head if remaining == c.value else is_prime(remaining, within=(c.n1, c.n2))
         witness = _cofactor_witness(c, remaining, verdict)
         return LehmerSearchResult(
-            n, tuple(divisors), VERDICT_STRUCTURAL, witness, fact, verdict
+            c, tuple(divisors), VERDICT_STRUCTURAL, witness, fact, verdict
         )
 
     phi = euler_phi(fact)
@@ -420,7 +416,7 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
             ),
             phi=phi,
         )
-        return LehmerSearchResult(n, tuple(divisors), VERDICT_TOTIENT, witness, fact)
+        return LehmerSearchResult(c, tuple(divisors), VERDICT_TOTIENT, witness, fact)
 
     raise FalsificationError(
         "lehmer-search",
@@ -440,8 +436,7 @@ def _trusted(search: LehmerSearchResult, cached: Factorization) -> bool:
     partial entry's budget is taken on trust, since only rerunning rho
     could check it: one that overstates it passes, and the row is less
     factored than its budget would reach, but still correct."""
-    c = cullen(search.n)
-    within = (c.n1, c.n2)
+    within = (search.c.n1, search.c.n2)
     listed = [p for p, _ in cached.factors]
     composite = [p for p in listed if p >= DETERMINISTIC_LIMIT
                  and not is_prime(p, within=within).probably_prime]
@@ -462,7 +457,7 @@ def _trusted(search: LehmerSearchResult, cached: Factorization) -> bool:
             problems.append("the cofactor is prime")
     if problems:
         logger.warning("cached factorization of C(%d) not trusted: %s",
-                       search.n, "; ".join(problems))
+                       search.c.n, "; ".join(problems))
         return False
     return True
 
@@ -472,15 +467,16 @@ def extend_factorization(
     budget: FactorBudget,
     counter: WorkCounter,
     cached: CacheEntry | None = None,
-) -> Factorization:
-    """The row's factorization of C(n), by the first rule that applies: a
-    prime C(n) keeps the search's Proth-certified factorization, and cached
-    is not read; a cached factorization that is complete, or partial at a
-    rho budget at least budget's, and passes _trusted is returned as it is
-    (a caller tells it by identity); a complete search state is returned as
-    it is.  Otherwise general_factor runs on the cofactor within C(n)'s
-    special form, reusing the search's cofactor_verdict so that no value is
-    tested twice, and its primes are merged with the structured ones.
+) -> tuple[Factorization, bool]:
+    """The row's factorization of C(n), and whether cached supplied it, by
+    the first rule that applies: a prime C(n) keeps the search's
+    Proth-certified factorization, and cached is not read; a cached
+    factorization that is complete, or partial at a rho budget at least
+    budget's, and passes _trusted is returned as it is; a complete search
+    state is returned as it is.  Otherwise general_factor runs on the
+    cofactor within C(n)'s special form, reusing the search's
+    cofactor_verdict so that no value is tested twice, and its primes are
+    merged with the structured ones.
 
     general_factor is deterministic given its input and budget, and every
     row starts a fresh counter, so a partial entry at budget B is what a row
@@ -490,21 +486,21 @@ def extend_factorization(
     replaces the search, which is what gives the verdict."""
     fact = result.factorization
     if result.verdict == VERDICT_PRIME:
-        return fact
+        return fact, False
     if (cached is not None
             and (cached.fact.is_complete or budget.rho_iterations <= cached.budget)
             and _trusted(result, cached.fact)):
-        return cached.fact
+        return cached.fact, True
     if fact.is_complete:
-        return fact
-    c = cullen(result.n)
+        return fact, False
+    c = result.c
     sub = general_factor(fact.cofactor, budget, counter, within=(c.n1, c.n2),
                          verdict=result.cofactor_verdict)
     merged = dict(fact.factors)
     for p, k in sub.factors:
         merged[p] = merged.get(p, 0) + k
-    return Factorization(fact.value, tuple(sorted(merged.items())), sub.status,
-                         sub.cofactor, sub.probable)
+    return Factorization(fact.value, tuple(sorted(merged.items())), sub.cofactor,
+                         sub.probable), False
 
 
 def _cofactor_witness(
@@ -655,9 +651,11 @@ class FactorCache:
         # since a factor's verdict is probable exactly beyond the
         # deterministic threshold
         probable = tuple(p for p, _ in factors if p >= DETERMINISTIC_LIMIT)
-        fact = Factorization(value, tuple(factors), status, cofactor, probable)
+        fact = Factorization(value, tuple(factors), cofactor, probable)
         if fact.value != c.value:
             raise ValueError(f"line does not reproduce C({n})")
+        if fact.status != status:
+            raise ValueError(f"status {parts[1]!r} does not match the cofactor {cofactor}")
         # certify only below the limit, where it is cheap: a listed factor
         # may have thousands of bits, and every command reloads the cache;
         # extend_factorization tests the others before a row uses the entry
@@ -670,23 +668,25 @@ class FactorCache:
         return self._entries.get(n)
 
     def put(self, n: int, fact: Factorization, budget: int | None = None) -> None:
-        """Append C(n)'s factorization; a partial one needs budget, the rho
-        budget that left it partial, and a complete one ignores it.  Nothing
-        is written when the held entry says more, since no load would keep
-        the line: a row refuses such an entry, at a larger budget, at each
-        use."""
+        """Offer C(n)'s factorization with budget, the rho budget that left a
+        partial one partial (a complete one ignores it).  put alone decides
+        what is written: a line that some row reads back.  So it skips a
+        prime's factorization (the value as its only factor), a partial one
+        at budget 0, where no rho ran, and one that the held entry equals or
+        outranks, which no load would keep; all before C(n) is built."""
         if not 1 <= n <= MAX_INDEX:
             raise ValueError(f"index {n} out of the cacheable range")
-        if fact.value != cullen(n).value:
-            raise ValueError(f"factorization value is not C({n})")
         entry = CacheEntry(fact, None if fact.is_complete else budget)
-        status = fact.status if fact.is_complete else f"{PARTIAL}@{budget}"
-        line = f"{n}\t{status}\t{fact.summary()}\t{fact.cofactor}\n"
+        if fact.factors == ((fact.value, 1),) or entry.budget == 0:
+            return
         with self._lock:
-            if self._outranked(n, entry):
+            if self._entries.get(n) == entry or self._outranked(n, entry):
                 return
+            if fact.value != cullen(n).value:
+                raise ValueError(f"factorization value is not C({n})")
+            status = COMPLETE if entry.budget is None else f"{PARTIAL}@{entry.budget}"
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line)
+                fh.write(f"{n}\t{status}\t{fact.summary()}\t{fact.cofactor}\n")
             self._entries[n] = entry
 
     def __len__(self) -> int:

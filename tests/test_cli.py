@@ -21,6 +21,38 @@ from cullen_lehmer.primality import (
 from conftest import body_of, parse_jsonl, run_cli
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the CLI's process pool without starting a process: the
+    initializer runs on entry and each call at submission.  Returns the
+    indices submitted, in order."""
+    from concurrent.futures import Future
+
+    import cullen_lehmer.cli as cli_mod
+
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer):
+            self.initializer = initializer
+
+        def __enter__(self):
+            self.initializer()
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, n, *args):
+            submitted.append(n)
+            future = Future()
+            future.set_result(fn(n, *args))
+            return future
+
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+    return submitted
+
+
 class TestCheckAndScan:
     def test_check_prime(self, tmp_path):
         code, out, _ = run_cli("check", 1, "--cache", tmp_path / "c.txt")
@@ -648,38 +680,58 @@ class TestPastTheDigitLimit:
             product *= int(p) ** int(k or 1)
         assert product == value
 
-    def test_pool_workers_lift_the_limit(self, tmp_path, monkeypatch, int_digit_limit):
+    def test_pool_workers_lift_the_limit(self, tmp_path, inline_pool, int_digit_limit):
         # a spawned worker does not inherit the setting, so the pool must
-        # run the lift as its initializer; a stand-in pool starts no process
-        from concurrent.futures import Future
-
+        # run the lift as its initializer
         import cullen_lehmer.cli as cli_mod
         from cullen_lehmer import FactorBudget, FactorCache
-
-        class InlinePool:
-            def __init__(self, max_workers, initializer):
-                self.initializer = initializer
-
-            def __enter__(self):
-                self.initializer()
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
 
         if not hasattr(sys, "get_int_max_str_digits"):
             pytest.skip("this interpreter has no int/str digit limit")
         int_digit_limit(4300)
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
         records = list(cli_mod._compute_rows([5, 6], FactorBudget(rho_iterations=0),
                                              FactorCache(tmp_path / "c.txt"), 2))
         assert [r.n for r in records] == [5, 6]
         assert sys.get_int_max_str_digits() == 0
+
+
+class TestRowPipeline:
+    def test_row_builds_c_once(self, monkeypatch):
+        # the search builds C(n), and every later step reads it from the
+        # search result; here once with general factoring, once from a cache
+        import cullen_lehmer.cli as cli_mod
+        import cullen_lehmer.factoring as factoring
+        from cullen_lehmer import FactorBudget
+        from cullen_lehmer.factoring import CacheEntry
+
+        built = []
+        monkeypatch.setattr(factoring, "cullen", lambda n: built.append(n) or cullen(n))
+        budget = FactorBudget(rho_iterations=4096)
+        record = cli_mod._compute(169, budget, None)
+        assert built == [169] and not record.fact.is_complete and not record.from_cache
+        built.clear()
+        again = cli_mod._compute(169, budget, CacheEntry(record.fact, 4096))
+        assert built == [169] and again.from_cache and again.fact == record.fact
+
+    def test_pool_window_is_bounded(self, tmp_path, monkeypatch, inline_pool):
+        # a reader that goes away after k rows leaves at most 2*workers more
+        # rows submitted, whatever the range
+        class Sink(io.StringIO):
+            def write(self, text):
+                if self.getvalue().count("\n") == 1 + k:  # the header, then k rows
+                    raise BrokenPipeError("reader gone")
+                return super().write(text)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        k, workers = 5, 2
+        sink = Sink()
+        code = main(["scan", "1", "1500", "--budget", "0", "--workers", str(workers),
+                     "--cache", str(tmp_path / "c.txt")], out=sink)
+        assert code == 4
+        _, rows, _, _ = parse_jsonl(sink.getvalue())
+        assert [row["n"] for row in rows] == list(range(1, k + 1))
+        assert inline_pool == list(range(1, len(inline_pool) + 1))
+        assert len(inline_pool) <= k + 2 * workers + 1
 
 
 class TestExitCodes:

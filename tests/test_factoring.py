@@ -19,7 +19,6 @@ from cullen_lehmer import (
     v2,
 )
 from cullen_lehmer.factoring import (
-    COMPLETE,
     MAX_INDEX,
     PARTIAL,
     TRIAL_BOUND,
@@ -35,16 +34,17 @@ ALL_VERDICTS = {VERDICT_PRIME, VERDICT_SQUAREFREE, VERDICT_STRUCTURAL, VERDICT_T
 
 
 class TestFactorization:
-    @pytest.mark.parametrize("value, factors, status, cofactor", [
-        (385, ((5, 1), (7, 1)), COMPLETE, 11),          # complete with a cofactor
-        (385, ((5, 1), (7, 1), (11, 1)), PARTIAL, 1),   # partial with nothing left
-        (385, ((5, 1), (7, 1), (11, 1)), "done", 1),    # unknown status
-        (385, ((5, 1), (7, 1)), COMPLETE, 1),           # product misses the value
-        (385, ((7, 1), (5, 1), (11, 1)), COMPLETE, 1),  # primes out of order
+    # the status is derived from the cofactor, so a status that contradicts
+    # it exists only in a cache line, and FactorCache._parse rejects it
+    @pytest.mark.parametrize("value, factors, cofactor", [
+        pytest.param(385, ((5, 1), (7, 1)), 1,
+                     id="385-factors3-complete-1"),  # product misses the value
+        pytest.param(385, ((7, 1), (5, 1), (11, 1)), 1,
+                     id="385-factors4-complete-1"),  # primes out of order
     ])
-    def test_rejects_inconsistent(self, value, factors, status, cofactor):
+    def test_rejects_inconsistent(self, value, factors, cofactor):
         with pytest.raises(ValueError):
-            Factorization(value, factors, status, cofactor)
+            Factorization(value, factors, cofactor)
 
 
 class TestGeneralFactor:
@@ -173,7 +173,7 @@ class TestEulerPhi:
             assert euler_phi(general_factor(n)) == expected
 
     def test_rejects_partial(self):
-        f = Factorization(35 * 13, ((13, 1),), PARTIAL, cofactor=35)
+        f = Factorization(35 * 13, ((13, 1),), cofactor=35)
         with pytest.raises(ValueError):
             euler_phi(f)
 
@@ -499,16 +499,16 @@ class TestFactorCache:
         path = tmp_path / "cache.txt"
         cache = FactorCache(path)
         c = cullen(9)
-        f = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
+        f = Factorization(c.value, ((11, 1),), cofactor=c.value // 11)
         with pytest.raises(ValueError):
             cache.put(9, f)
         assert not path.exists()
-        cache.put(9, f, 0)
-        assert FactorCache(path).entry(9) == CacheEntry(f, 0)
+        cache.put(9, f, 4096)
+        assert FactorCache(path).entry(9) == CacheEntry(f, 4096)
 
     def test_entry_has_a_budget_exactly_when_partial(self):
         c = cullen(9)
-        partial = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
+        partial = Factorization(c.value, ((11, 1),), cofactor=c.value // 11)
         complete = general_factor(c.value)
         for fact, budget in ((partial, None), (partial, -1), (complete, 0)):
             with pytest.raises(ValueError):
@@ -519,7 +519,7 @@ class TestFactorCache:
     def test_partial_entry_keeps_its_budget(self, tmp_path):
         path = tmp_path / "cache.txt"
         c = cullen(9)
-        f = Factorization(c.value, ((11, 1),), PARTIAL, cofactor=c.value // 11)
+        f = Factorization(c.value, ((11, 1),), cofactor=c.value // 11)
         f6 = general_factor(cullen(6).value)
         cache = FactorCache(path)
         cache.put(9, f, 4096)
@@ -529,6 +529,30 @@ class TestFactorCache:
         again = FactorCache(path)
         assert again.entry(9) == CacheEntry(f, 4096)
         assert again.entry(6) == CacheEntry(f6)
+
+    def test_put_writes_only_what_a_row_reads_back(self, tmp_path):
+        # one file; each offer in turn, with the exact lines it appends
+        path = tmp_path / "cache.txt"
+        cache = FactorCache(path)
+        c141, c9 = cullen(141).value, cullen(9).value  # C(141) is prime; C(9) = 11 * 419
+        prime = Factorization(c141, ((c141, 1),))
+        partial = Factorization(c9, ((11, 1),), cofactor=419)
+        f6, f9 = general_factor(cullen(6).value), general_factor(c9)
+        for n, fact, budget, gained in [
+            (141, prime, None, ""),                              # a prime's factorization
+            (9, partial, 0, ""),                                 # no rho ran
+            (6, f6, None, "6\tcomplete\t5 7 11\t1\n"),
+            (6, f6, 4096, ""),                                   # the held complete entry
+            (9, partial, 4096, "9\tpartial@4096\t11\t419\n"),
+            (9, partial, 4096, ""),                              # the held partial@4096
+            (9, partial, 1024, ""),                              # outranked by it
+            (9, partial, 8192, "9\tpartial@8192\t11\t419\n"),  # a larger budget
+            (9, f9, None, "9\tcomplete\t11 419\t1\n"),         # complete over partial
+        ]:
+            before = path.read_text(encoding="utf-8") if path.exists() else ""
+            cache.put(n, fact, budget)
+            after = path.read_text(encoding="utf-8") if path.exists() else ""
+            assert after == before + gained, (n, fact, budget)
 
     # C(38) = 3^2 * 20879 * 55586743: the lines from the most informative
     # down, then a partial line without a budget, which every load skips
@@ -583,13 +607,14 @@ class TestFactorCache:
             + "2\tbogus-status\t3^2\t1\n"       # unknown status
             + "6\tcomplete\t11 35\t1\n"         # 35 is not prime
             + "6\tpartial\t5\t77\n"             # partial without its rho budget
+            + "6\tcomplete\t5 7\t11\n"          # complete with a cofactor
             + "11\tcomplete\t13 1733\t1\n",
             encoding="utf-8",
         )
         with caplog.at_level(logging.WARNING):
             cache = FactorCache(path)
-        assert cache.skipped_lines == 5
-        assert sum("skipped" in rec.message for rec in caplog.records) == 5
+        assert cache.skipped_lines == 6
+        assert sum("skipped" in rec.message for rec in caplog.records) == 6
         assert cache.entry(6).fact.summary() == "5 7 11"
         assert cache.entry(11).fact.factors == ((13, 1), (1733, 1))
         assert len(cache) == 2
@@ -605,16 +630,16 @@ class TestPastTheDigitLimit:
     def split(self):
         value = cullen(self.N).value
         p = next(p for p in range(3, 2000, 2) if value % p == 0)
-        return Factorization(value, ((p, 1),), PARTIAL, cofactor=value // p)
+        return Factorization(value, ((p, 1),), cofactor=value // p)
 
     def test_cache_round_trip(self, tmp_path, int_digit_limit):
         int_digit_limit(0)
         f = self.split()
         path = tmp_path / "cache.txt"
-        FactorCache(path).put(self.N, f, 0)
+        FactorCache(path).put(self.N, f, 4096)
         assert len(path.read_text(encoding="utf-8")) > 4300
         again = FactorCache(path)
-        assert again.skipped_lines == 0 and again.entry(self.N) == CacheEntry(f, 0)
+        assert again.skipped_lines == 0 and again.entry(self.N) == CacheEntry(f, 4096)
 
     def test_cofactor_witness(self, int_digit_limit):
         from cullen_lehmer.factoring import _cofactor_witness

@@ -12,7 +12,7 @@ from cullen_lehmer import (
     lehmer_constrained_factor,
     lehmer_ratio,
 )
-from cullen_lehmer.factoring import PARTIAL, VERDICT_PRIME
+from cullen_lehmer.factoring import VERDICT_PRIME
 
 PHI_SIEVE_LIMIT = 1_000_000
 PREDICATE_RANGE = 100_000
@@ -44,7 +44,7 @@ def factorization_from_spf(n, spf):
         p = spf[m]
         factors[p] = factors.get(p, 0) + 1
         m //= p
-    return Factorization(n, tuple(sorted(factors.items())), "complete")
+    return Factorization(n, tuple(sorted(factors.items())))
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +64,7 @@ class TestIsLehmer:
         assert is_lehmer(561, general_factor(561)) is False
 
     def test_rejects_partial(self):
-        f = Factorization(561, ((3, 1),), PARTIAL, cofactor=187)
+        f = Factorization(561, ((3, 1),), cofactor=187)
         with pytest.raises(ValueError):
             is_lehmer(561, f)
 
