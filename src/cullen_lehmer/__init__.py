@@ -19,7 +19,6 @@ from .factoring import (
     FactorCache,
     Factorization,
     LehmerSearchResult,
-    RefutationWitness,
     WorkCounter,
     euler_phi,
     extend_factorization,

@@ -285,7 +285,7 @@ def _scan_row(record: _Record) -> dict:
         "status": "prime" if search.verdict == VERDICT_PRIME else "composite",
         "verdict": search.verdict,
         "structured_divisors": [sp.value for sp in search.structured_divisors],
-        "witness": search.witness.detail,
+        "witness": search.witness,
         "factors": fact.summary(),
         "factor_status": fact.status,
         "cofactor": fact.cofactor,
@@ -374,8 +374,10 @@ def _cmd_bounds(args, out) -> int:
 
 
 def _cmd_pigeonhole(args, out) -> int:
-    if args.n < 2 or not 1 <= args.np <= args.n:
-        raise UsageError("need n >= 2 and 1 <= np <= n")
+    # the walk in pigeonhole_pair grows as sqrt(n / ln n), so n is held to
+    # the bound the row commands use
+    if not 2 <= args.n <= MAX_INDEX or not 1 <= args.np <= args.n:
+        raise UsageError(f"need 2 <= n <= {MAX_INDEX} and 1 <= np <= n")
     emitter = Emitter(out, False)
     emitter.header("pigeonhole", {"n": args.n, "np": args.np})
     pair = pigeonhole_pair(args.n, args.np)

@@ -8,6 +8,7 @@ is the shape the Proth certificate and the structured factor search use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 def v2(x: int) -> int:
@@ -19,37 +20,37 @@ def v2(x: int) -> int:
 
 @dataclass(frozen=True)
 class CullenNumber:
-    """Index n together with its 2-adic decomposition and value."""
+    """C(n) = n*2^n + 1, held as its index n alone: the 2-adic
+    decomposition is read off n, and the value is built on first use."""
 
     n: int
-    alpha: int  # v2(n)
-    n1: int     # odd part of n
-    n2: int     # n + alpha, so value = n1 * 2^n2 + 1
-    value: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"index must be positive, got {self.n}")
-        if self.n1 % 2 == 0 or (self.n1 << self.alpha) != self.n:
-            raise ValueError("broken 2-adic decomposition of the index")
-        if self.n2 != self.n + self.alpha:
-            raise ValueError("n2 must equal n + alpha")
-        if self.value != self.n * (1 << self.n) + 1:
-            raise ValueError("value does not equal n*2^n + 1")
+
+    @property
+    def alpha(self) -> int:
+        return v2(self.n)
+
+    @property
+    def n1(self) -> int:
+        """Odd part of n."""
+        return self.n >> self.alpha
+
+    @property
+    def n2(self) -> int:
+        """n + alpha, so value = n1 * 2^n2 + 1."""
+        return self.n + self.alpha
+
+    @cached_property
+    def value(self) -> int:
+        return self.n * (1 << self.n) + 1
 
 
 def cullen(n: int) -> CullenNumber:
-    """Build C(n) = n*2^n + 1 together with its index decomposition."""
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
-    alpha = v2(n)
-    return CullenNumber(
-        n=n,
-        alpha=alpha,
-        n1=n >> alpha,
-        n2=n + alpha,
-        value=n * (1 << n) + 1,
-    )
+    """C(n) = n*2^n + 1 for an index n >= 1."""
+    return CullenNumber(n)
 
 
 def odd_divisors(n: int) -> list[int]:

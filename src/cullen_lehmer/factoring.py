@@ -239,21 +239,6 @@ def general_factor(
 
 
 @dataclass(frozen=True)
-class RefutationWitness:
-    """Why a given C(n) cannot satisfy phi(C(n)) | C(n)-1, or the
-    certificate that it is prime."""
-
-    kind: str  # "proth_certificate" | "repeated_prime" | "cofactor" | "totient"
-    detail: str
-    proth_base: int | None = None
-    repeated_prime: int | None = None
-    cofactor: int | None = None
-    cofactor_m: int | None = None  # odd part of cofactor-1 when the cofactor is prime
-    cofactor_e: int | None = None  # v2(cofactor-1) likewise
-    phi: int | None = None
-
-
-@dataclass(frozen=True)
 class LehmerSearchResult:
     """Outcome of the structured factor search for C(n); later steps read
     the CullenNumber c it built instead of building C(n) again."""
@@ -261,7 +246,7 @@ class LehmerSearchResult:
     c: CullenNumber
     structured_divisors: tuple[StructuredPrime, ...]
     verdict: str
-    witness: RefutationWitness
+    witness: str  # why C(n) is not a Lehmer number, or its Proth certificate
     factorization: Factorization  # search state; complete iff the cofactor reached 1
     # primality of factorization.cofactor when the search decided it (a
     # cofactor equal to C(n) is composite), for extend_factorization to reuse
@@ -360,11 +345,7 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
     head = _cullen_verdict(c, hits)
     if head.status == PRIME:
         fact = Factorization(c.value, ((c.value, 1),))
-        witness = RefutationWitness(
-            kind="proth_certificate",
-            detail=f"C({n}) is prime (Proth base {head.witness})",
-            proth_base=head.witness,
-        )
+        witness = f"C({n}) is prime (Proth base {head.witness})"
         return LehmerSearchResult(c, (), VERDICT_PRIME, witness, fact)
     if head.status != COMPOSITE:
         raise BudgetError(f"could not certify C({n}) prime or composite")
@@ -385,18 +366,14 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
             remaining //= value
             mult += 1
         factors.append((value, mult))
-        divisors.append(StructuredPrime(m, e, value))
+        divisors.append(StructuredPrime(m, e))
         if mult >= 2:
             repeated = value
             break
 
     fact = Factorization(c.value, tuple(factors), cofactor=remaining)
     if repeated is not None:
-        witness = RefutationWitness(
-            kind="repeated_prime",
-            detail=f"{repeated}^2 divides C({n}), so C({n}) is not squarefree",
-            repeated_prime=repeated,
-        )
+        witness = f"{repeated}^2 divides C({n}), so C({n}) is not squarefree"
         return LehmerSearchResult(c, tuple(divisors), VERDICT_SQUAREFREE, witness, fact)
     if remaining > 1:
         # a cofactor equal to C(n) is proven composite by head already
@@ -408,14 +385,8 @@ def lehmer_constrained_factor(n: int) -> LehmerSearchResult:
 
     phi = euler_phi(fact)
     if (c.value - 1) % phi:
-        witness = RefutationWitness(
-            kind="totient",
-            detail=(
-                f"C({n}) factors into structured primes only, but "
-                f"phi = {phi} does not divide C({n})-1"
-            ),
-            phi=phi,
-        )
+        witness = (f"C({n}) factors into structured primes only, but "
+                   f"phi = {phi} does not divide C({n})-1")
         return LehmerSearchResult(c, tuple(divisors), VERDICT_TOTIENT, witness, fact)
 
     raise FalsificationError(
@@ -503,9 +474,7 @@ def extend_factorization(
                          sub.probable), False
 
 
-def _cofactor_witness(
-    c: CullenNumber, cofactor: int, verdict: PrimalityVerdict
-) -> RefutationWitness:
+def _cofactor_witness(c: CullenNumber, cofactor: int, verdict: PrimalityVerdict) -> str:
     """Explain, from its primality verdict, why the leftover cofactor
     certifies refutation: no prime inside it can have predecessor dividing
     C(n)-1."""
@@ -523,25 +492,10 @@ def _cofactor_witness(
                 f"prime cofactor {cofactor} has admissible shape yet was never "
                 "enumerated; the candidate set cannot be exhaustive",
             )
-        detail = (
-            f"cofactor {cofactor} = {m}*2^{e} + 1 is prime but outside the "
-            f"admissible shape: " + "; ".join(reasons)
-        )
-        return RefutationWitness(
-            kind="cofactor",
-            detail=detail,
-            cofactor=cofactor,
-            cofactor_m=m,
-            cofactor_e=e,
-        )
-    return RefutationWitness(
-        kind="cofactor",
-        detail=(
-            f"cofactor {cofactor} > 1 remains after removing every admissible "
-            "structured prime, so some factor of C(n) has the wrong shape"
-        ),
-        cofactor=cofactor,
-    )
+        return (f"cofactor {cofactor} = {m}*2^{e} + 1 is prime but outside the "
+                f"admissible shape: " + "; ".join(reasons))
+    return (f"cofactor {cofactor} > 1 remains after removing every admissible "
+            "structured prime, so some factor of C(n) has the wrong shape")
 
 
 @dataclass(frozen=True)

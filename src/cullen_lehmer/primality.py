@@ -370,15 +370,16 @@ class StructuredPrime:
 
     m: int
     e: int
-    value: int
 
     def __post_init__(self):
         if self.m < 1 or self.m % 2 == 0:
             raise ValueError(f"m must be odd and positive, got {self.m}")
         if self.e < 1:
             raise ValueError(f"e must be positive, got {self.e}")
-        if self.value != (self.m << self.e) + 1:
-            raise ValueError("value does not equal m*2^e + 1")
+
+    @property
+    def value(self) -> int:
+        return (self.m << self.e) + 1
 
 
 @dataclass(frozen=True)
@@ -387,13 +388,14 @@ class TwoThreePrime:
 
     a: int
     b: int
-    value: int
 
     def __post_init__(self):
         if self.a < 0 or self.b < 0:
             raise ValueError("exponents must be nonnegative")
-        if self.value != 2**self.a * 3**self.b + 1:
-            raise ValueError("value does not equal 2^a*3^b + 1")
+
+    @property
+    def value(self) -> int:
+        return 2**self.a * 3**self.b + 1
 
 
 def structured_verdict(m: int, e: int) -> PrimalityVerdict:
@@ -421,7 +423,7 @@ def gen_two_three_primes(limit: int) -> list[TwoThreePrime]:
         b = 0
         while s <= limit - 1:
             if is_prime(s + 1).is_prime:
-                out.append(TwoThreePrime(a, b, s + 1))
+                out.append(TwoThreePrime(a, b))
             s *= 3
             b += 1
         a += 1

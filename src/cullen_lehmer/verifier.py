@@ -112,7 +112,6 @@ class PigeonholePair:
     np: int
     u: int
     v: int
-    combo: int
 
     def __post_init__(self):
         if (self.u, self.v) == (0, 0):
@@ -121,8 +120,11 @@ class PigeonholePair:
             raise ValueError("sign normalization: u >= 0, and v > 0 when u = 0")
         if gcd(abs(self.u), abs(self.v)) != 1:
             raise ValueError("u and v must be coprime")
-        if self.combo != self.u * self.n + self.v * self.np:
-            raise ValueError("combo does not match u*n + v*np")
+
+    @property
+    def combo(self) -> int:
+        """u*n + v*np."""
+        return self.u * self.n + self.v * self.np
 
 
 def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
@@ -162,7 +164,7 @@ def pigeonhole_pair(n: int, np_: int) -> PigeonholePair:
     _, u, _, v = min(
         (abs(u * n + v * np_), u, abs(v), v) for u in range(N + 1) for v in nearest(u)
     )
-    pair = PigeonholePair(n, np_, u, v, u * n + v * np_)
+    pair = PigeonholePair(n, np_, u, v)
     if n >= 30:
         check_pair_bounds(pair)
     return pair
@@ -196,12 +198,12 @@ def check_pair_bounds(pair: PigeonholePair) -> None:
     if max(abs(pair.u), abs(pair.v)) > N:
         raise FalsificationError(
             "pigeonhole",
-            f"pair {pair} exceeds the sqrt(n/ln n) box bound",
+            f"pair {pair} with combo {pair.combo} exceeds the sqrt(n/ln n) box bound",
         )
     if abs(pair.combo) >= cap:
         raise FalsificationError(
             "pigeonhole",
-            f"pair {pair} violates |combo| < 3*sqrt(n ln n)",
+            f"pair {pair} with combo {pair.combo} violates |combo| < 3*sqrt(n ln n)",
         )
 
 

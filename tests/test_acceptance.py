@@ -179,8 +179,8 @@ def test_c6_worked_micro_instance():
     r = lehmer_constrained_factor(6)
     assert r.verdict == "structurally_refuted"
     assert [sp.value for sp in r.structured_divisors] == [5, 7]
-    assert r.witness.cofactor == 11
-    assert r.witness.cofactor_m == 5 and 6 % 5 == 1
+    assert r.factorization.cofactor == 11
+    assert r.witness.startswith("cofactor 11 = 5*2^1 + 1 is prime") and 6 % 5 == 1
     print("\n[acceptance] C6 PASS: C(6) = 385, candidates {3,5,7,13,17,97,193}, "
           "witness cofactor 11 with 5 not dividing 6")
 

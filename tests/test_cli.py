@@ -193,6 +193,23 @@ class TestReports:
         _, _, _, reports = parse_jsonl(out)
         assert reports[0] == {"kind": "pair", "n": 40, "np": 11, "u": 1, "v": -3, "combo": 7}
 
+    def test_pigeonhole_index_bound(self, monkeypatch, capsys):
+        # n above MAX_INDEX is refused before any walk starts
+        import cullen_lehmer.cli as cli
+
+        def no_walk(n, np_):
+            raise AssertionError(f"pigeonhole_pair({n}, {np_}) called")
+
+        out = io.StringIO()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "pigeonhole_pair", no_walk)
+            assert main(["pigeonhole", str(MAX_INDEX + 1), "12345"], out=out) == EXIT_USAGE
+        assert out.getvalue() == ""
+        assert f"n <= {MAX_INDEX}" in capsys.readouterr().err
+        assert main(["pigeonhole", str(MAX_INDEX), "12345"], out=out) == EXIT_OK
+        _, _, _, reports = parse_jsonl(out.getvalue())
+        assert reports[0]["n"] == MAX_INDEX
+
     def test_product_bound(self):
         code, out, _ = run_cli("product-bound", "--cap", 1000)
         assert code == EXIT_OK

@@ -1,8 +1,10 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cullen_lehmer import cullen, odd_divisors, v2
+from cullen_lehmer import CullenNumber, cullen, odd_divisors, v2
 
 
 def brute_odd_divisors(n):
@@ -26,6 +28,19 @@ class TestCullen:
         assert (c6.value, c6.alpha, c6.n1, c6.n2) == (385, 1, 3, 7)
         assert 3 * 2**7 + 1 == 385
         assert cullen(10).value == 10241
+
+    @pytest.mark.parametrize("n", [1, 6, 141, 4713])
+    def test_value_built_once_on_first_use(self, n):
+        c = cullen(n)
+        assert "value" not in vars(c)
+        assert c.value == n * 2**n + 1
+        assert c.value is c.value
+        again = pickle.loads(pickle.dumps(c))
+        assert again.value == c.value and again == c
+
+    def test_index_is_the_only_field(self):
+        with pytest.raises(TypeError):
+            CullenNumber(6, 1, 3, 7, 385)
 
     @pytest.mark.parametrize("bad", [0, -1, -100])
     def test_rejects_nonpositive(self, bad):

@@ -198,22 +198,31 @@ class TestLehmerConstrainedFactor:
         r = lehmer_constrained_factor(1)
         assert r.verdict == VERDICT_PRIME
         assert r.factorization.factors == ((3, 1),)
-        assert r.witness.proth_base is not None
+        assert r.witness == "C(1) is prime (Proth base 2)"
 
     def test_squarefree_case(self):
         r = lehmer_constrained_factor(2)
         assert r.verdict == VERDICT_SQUAREFREE
-        assert r.witness.repeated_prime == 3
+        assert r.structured_divisors[-1].value == 3
+        assert dict(r.factorization.factors)[3] >= 2
+        assert r.witness == "3^2 divides C(2), so C(2) is not squarefree"
         assert cullen(2).value == 9
 
     def test_worked_micro_instance(self):
         r = lehmer_constrained_factor(6)
         assert r.verdict == VERDICT_STRUCTURAL
         assert [sp.value for sp in r.structured_divisors] == [5, 7]
-        assert r.witness.cofactor == 11
-        assert r.witness.cofactor_m == 5 and r.witness.cofactor_e == 1
+        assert r.witness == ("cofactor 11 = 5*2^1 + 1 is prime but outside the "
+                             "admissible shape: 5 does not divide 6")
         assert 6 % 5 != 0  # the shape violation the witness names
         assert r.factorization.cofactor == 11
+
+    def test_composite_cofactor_text(self):
+        # C(5) = 161 = 7 * 23, and no structured form divides it
+        r = lehmer_constrained_factor(5)
+        assert r.verdict == VERDICT_STRUCTURAL and r.factorization.cofactor == 161
+        assert r.witness == ("cofactor 161 > 1 remains after removing every admissible "
+                             "structured prime, so some factor of C(n) has the wrong shape")
 
     def test_verdict_facts_against_full_factorization(self, factored_corpus):
         # structured divisors must be exactly the primes p | C(n) with
@@ -232,8 +241,10 @@ class TestLehmerConstrainedFactor:
         for n in factored_corpus:
             r = lehmer_constrained_factor(n)
             if r.verdict == VERDICT_SQUAREFREE:
-                p = r.witness.repeated_prime
+                p = r.structured_divisors[-1].value
+                assert dict(r.factorization.factors)[p] >= 2
                 assert cullen(n).value % (p * p) == 0
+                assert r.witness == f"{p}^2 divides C({n}), so C({n}) is not squarefree"
 
     def test_never_lehmer_up_to_300_is_in_acceptance(self):
         # desk-scale sweep of the first sixty indices; the 300 sweep runs
@@ -280,8 +291,7 @@ class TestLehmerConstrainedFactor:
         assert r.verdict == VERDICT_STRUCTURAL and r.structured_divisors == ()
         cofactor = n * 2**n + 1
         assert r.factorization.factors == () and r.factorization.cofactor == cofactor
-        assert r.witness.kind == "cofactor" and r.witness.cofactor == cofactor
-        assert r.witness.detail.startswith(f"cofactor {cofactor} > 1 remains")
+        assert r.witness.startswith(f"cofactor {cofactor} > 1 remains")
 
     ROWS = [
         (5, 0, 1, [], 0), (9, 0, 1, [], 0), (11, 0, 1, [], 0), (34, 0, 1, [], 0),
@@ -338,7 +348,7 @@ class TestLehmerConstrainedFactor:
         r = lehmer_constrained_factor(141)
         assert [args for args, _ in calls["proth_test"]].count((c.n1, c.n2)) == 1
         assert c.value not in [args[0] for args, _ in calls["is_prime"]]
-        assert r.verdict == VERDICT_PRIME and r.witness.proth_base == 5
+        assert r.verdict == VERDICT_PRIME and r.witness.endswith("(Proth base 5)")
         assert r.factorization.factors == ((c.value, 1),)
 
     @given(
@@ -462,7 +472,9 @@ class TestLehmerConstrainedFactor:
         )
         r = factoring.lehmer_constrained_factor(4)
         assert r.verdict == VERDICT_TOTIENT
-        assert r.witness.phi == 48 and 64 % 48 != 0
+        assert euler_phi(r.factorization) == 48 and 64 % 48 != 0
+        assert r.witness == ("C(4) factors into structured primes only, but "
+                             "phi = 48 does not divide C(4)-1")
         assert r.factorization.is_complete
 
 
@@ -649,8 +661,7 @@ class TestPastTheDigitLimit:
         cofactor = self.split().cofactor
         verdict = PrimalityVerdict(cofactor, COMPOSITE, "trial")
         w = _cofactor_witness(cullen(self.N), cofactor, verdict)
-        assert w.cofactor == cofactor
-        assert w.detail.startswith(f"cofactor {cofactor} > 1 remains")
+        assert w.startswith(f"cofactor {cofactor} > 1 remains")
 
     def test_oversized_fields_skipped_unparsed(self, tmp_path, caplog, int_digit_limit):
         int_digit_limit(0)

@@ -234,29 +234,29 @@ class TestPigeonholePair:
 
     def test_pair_type_validation(self):
         with pytest.raises(ValueError):
-            PigeonholePair(40, 11, 0, 0, 0)
+            PigeonholePair(40, 11, 0, 0)
         with pytest.raises(ValueError):
-            PigeonholePair(40, 11, 2, -6, 2 * 40 - 6 * 11)  # not coprime
+            PigeonholePair(40, 11, 2, -6)  # not coprime
         with pytest.raises(ValueError):
-            PigeonholePair(40, 11, -1, 3, -7)  # sign normalization
+            PigeonholePair(40, 11, -1, 3)  # sign normalization
 
 
 class TestCertifiedChecks:
     def test_pair_outside_the_box_raises(self):
-        pair = PigeonholePair(40, 11, 5, -18, 2)  # |v| = 18 > sqrt(40/ln 40) = 3.29...
+        pair = PigeonholePair(40, 11, 5, -18)  # |v| = 18 > sqrt(40/ln 40) = 3.29...
         with pytest.raises(FalsificationError, match="box bound"):
             check_pair_bounds(pair)
 
     def test_pair_with_large_combo_raises(self):
-        pair = PigeonholePair(40, 11, 1, 0, 40)  # 40 > 3*sqrt(40 ln 40) = 36.4...
+        pair = PigeonholePair(40, 11, 1, 0)  # 40 > 3*sqrt(40 ln 40) = 36.4...
         with pytest.raises(FalsificationError, match="combo"):
             check_pair_bounds(pair)
 
     @pytest.mark.parametrize("pair, match", [
-        (PigeonholePair(40, 13, 1, -3, 1), None),         # |v| = 3 = N
-        (PigeonholePair(40, 10, 1, -4, 0), "box bound"),  # |v| = 4 = N + 1
-        (PigeonholePair(40, 4, 1, -1, 36), None),         # 36 < 36.44...
-        (PigeonholePair(40, 3, 1, -1, 37), "combo"),      # 37 = cap
+        (PigeonholePair(40, 13, 1, -3), None),         # |v| = 3 = N
+        (PigeonholePair(40, 10, 1, -4), "box bound"),  # |v| = 4 = N + 1
+        (PigeonholePair(40, 4, 1, -1), None),         # 36 < 36.44...
+        (PigeonholePair(40, 3, 1, -1), "combo"),      # 37 = cap
     ])
     def test_bounds_at_their_integer_edges(self, pair, match):
         if match is None:
@@ -359,12 +359,12 @@ class TestAExpression:
 
 class TestDivisibilityCheck:
     def test_worked_examples(self):
-        pair = PigeonholePair(6, 1, 1, -1, 5)
-        assert divisibility_check(6, StructuredPrime(3, 1, 7), pair)
-        pair2 = PigeonholePair(6, 2, 1, -1, 4)
-        assert divisibility_check(6, StructuredPrime(1, 2, 5), pair2)
-        pair3 = PigeonholePair(2, 1, 1, 0, 2)
-        assert divisibility_check(2, StructuredPrime(1, 1, 3), pair3)
+        pair = PigeonholePair(6, 1, 1, -1)
+        assert divisibility_check(6, StructuredPrime(3, 1), pair)
+        pair2 = PigeonholePair(6, 2, 1, -1)
+        assert divisibility_check(6, StructuredPrime(1, 2), pair2)
+        pair3 = PigeonholePair(2, 1, 1, 0)
+        assert divisibility_check(2, StructuredPrime(1, 1), pair3)
 
     def test_generated_pairs_for_structured_factors(self):
         for n in range(2, 41):
@@ -376,11 +376,11 @@ class TestDivisibilityCheck:
                 assert divisibility_check(n, sp, pair), (n, sp)
 
     def test_rejects_non_divisor(self):
-        pair = PigeonholePair(6, 1, 1, -1, 5)
+        pair = PigeonholePair(6, 1, 1, -1)
         with pytest.raises(ValueError):
-            divisibility_check(6, StructuredPrime(3, 1, 7), PigeonholePair(7, 1, 1, -1, 6))
+            divisibility_check(6, StructuredPrime(3, 1), PigeonholePair(7, 1, 1, -1))
         with pytest.raises(ValueError):
-            divisibility_check(6, StructuredPrime(1, 1, 3), pair)  # 3 does not divide 385
+            divisibility_check(6, StructuredPrime(1, 1), pair)  # 3 does not divide 385
 
 
 class TestBinaryObstruction:
