@@ -34,9 +34,7 @@ from .primality import (
     FermatStatus,
     PrimalityVerdict,
     StructuredPrime,
-    TwoThreePrime,
     fermat_status,
-    gen_two_three_primes,
     is_prime,
     proth_test,
 )

@@ -38,6 +38,7 @@ from .factoring import (
     lehmer_constrained_factor,
 )
 from .predicates import RatioReport, is_carmichael, lehmer_ratio
+from .primality import DETERMINISTIC_LIMIT
 from .verifier import (
     cascade_as_dict,
     cascade_verify,
@@ -362,8 +363,10 @@ def _cmd_rows(args, out) -> int:
 
 
 def _cmd_bounds(args, out) -> int:
-    if args.cap < 1000:
-        raise UsageError("bounds needs --cap >= 1000 for the product stage")
+    # the product stage is below 2 from 1000, and two_three_product_bound
+    # certifies its primes only up to DETERMINISTIC_LIMIT
+    if not 1000 <= args.cap <= DETERMINISTIC_LIMIT:
+        raise UsageError(f"bounds needs 1000 <= --cap <= {DETERMINISTIC_LIMIT}")
     emitter = Emitter(out, False)
     emitter.header("bounds", {"cap": args.cap})
     cascade = cascade_verify(args.cap)
@@ -387,8 +390,8 @@ def _cmd_pigeonhole(args, out) -> int:
 
 
 def _cmd_product_bound(args, out) -> int:
-    if args.cap < 2:
-        raise UsageError("need --cap >= 2")
+    if not 5 <= args.cap <= DETERMINISTIC_LIMIT:  # two_three_product_bound's domain
+        raise UsageError(f"need 5 <= --cap <= {DETERMINISTIC_LIMIT}")
     emitter = Emitter(out, False)
     emitter.header("product-bound", {"cap": args.cap})
     emitter.report(product_as_dict(two_three_product_bound(args.cap)))

@@ -600,14 +600,12 @@ class FactorCache:
         # would make p**k below exhaust memory
         if any(k < 1 or (p.bit_length() - 1) * k >= c.value.bit_length() for p, k in factors):
             raise ValueError(f"an exponent is out of range for C({n})")
-        value = cofactor * prod(p**k for p, k in factors)
         # the line format has no probable column; the flag is recomputable
         # since a factor's verdict is probable exactly beyond the
-        # deterministic threshold
+        # deterministic threshold.  Factorization's product check rejects a
+        # line that does not reproduce C(n).
         probable = tuple(p for p, _ in factors if p >= DETERMINISTIC_LIMIT)
-        fact = Factorization(value, tuple(factors), cofactor, probable)
-        if fact.value != c.value:
-            raise ValueError(f"line does not reproduce C({n})")
+        fact = Factorization(c.value, tuple(factors), cofactor, probable)
         if fact.status != status:
             raise ValueError(f"status {parts[1]!r} does not match the cofactor {cofactor}")
         # certify only below the limit, where it is cheap: a listed factor

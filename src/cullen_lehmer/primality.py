@@ -382,22 +382,6 @@ class StructuredPrime:
         return (self.m << self.e) + 1
 
 
-@dataclass(frozen=True)
-class TwoThreePrime:
-    """A prime 2^a * 3^b + 1."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("exponents must be nonnegative")
-
-    @property
-    def value(self) -> int:
-        return 2**self.a * 3**self.b + 1
-
-
 def structured_verdict(m: int, e: int) -> PrimalityVerdict:
     """Decisive verdict for m*2^e + 1 (m odd): Proth when the form
     qualifies, deterministic Miller-Rabin otherwise (m >= 2^e keeps the
@@ -410,22 +394,3 @@ def structured_verdict(m: int, e: int) -> PrimalityVerdict:
         raise BudgetError(f"cannot certify primality of {m}*2^{e}+1")
     return verdict
 
-
-def gen_two_three_primes(limit: int) -> list[TwoThreePrime]:
-    """All primes 2^a*3^b + 1 <= limit, ascending, including 2 (a=b=0)
-    and 3 (a=1, b=0); callers exclude what their context forbids."""
-    if limit < 2:
-        raise ValueError(f"limit must be at least 2, got {limit}")
-    out = []
-    a = 0
-    while (1 << a) <= limit - 1:
-        s = 1 << a
-        b = 0
-        while s <= limit - 1:
-            if is_prime(s + 1).is_prime:
-                out.append(TwoThreePrime(a, b))
-            s *= 3
-            b += 1
-        a += 1
-    out.sort(key=lambda tp: tp.value)
-    return out

@@ -45,7 +45,7 @@ from .certified import (
 )
 from .cullen import cullen
 from .errors import FalsificationError
-from .primality import PRIME, StructuredPrime, fermat_status, gen_two_three_primes
+from .primality import DETERMINISTIC_LIMIT, PRIME, StructuredPrime, fermat_status, is_prime
 
 # Published result consumed as an external constant (Cohen & Hagis): any
 # composite m with phi(m) | m-1 has at least this many distinct prime factors.
@@ -359,31 +359,38 @@ class TwoThreeProductBound:
 
 
 def two_three_product_bound(cap: int) -> TwoThreeProductBound:
-    """Enumerate the product up to cap and bound the rest.
+    """Enumerate the product up to cap and bound the rest, in one walk over
+    the 3-smooth s = 2^a*3^b, column by column in a.
 
     The meaningful regime is cap >= 1000 (total_upper drops below 2 there);
-    smaller caps down to 2 are accepted for worked examples and report
-    whatever the arithmetic gives.
+    caps down to 5 are accepted for worked examples and report whatever
+    the arithmetic gives.
     """
-    if cap < 2:
-        raise ValueError(f"cap must be at least 2, got {cap}")
-    primes = [tp.value for tp in gen_two_three_primes(cap) if tp.value not in (2, 3)]
-    partial = Fraction(1)
-    for p in primes:
-        partial *= Fraction(p, p - 1)
-
-    # ln of the tail: sum of ln(1 + 1/s) <= sum of 1/s over 3-smooth
-    # s > cap-1.  Within the column of fixed a, the b-tail is geometric
-    # with ratio 1/3; columns with 2^a already above cap-1 sum to a
+    # below 5 the tail bound is at least 1 (2, 3/2 and 7/6 at caps 2, 3 and
+    # 4), outside exp_upper's domain; above DETERMINISTIC_LIMIT is_prime
+    # could only call a listed prime probable, and the walk would drop it
+    if not 5 <= cap <= DETERMINISTIC_LIMIT:
+        raise ValueError(f"need 5 <= cap <= {DETERMINISTIC_LIMIT}, got {cap}")
+    # Each s <= cap-1 but 1 and 2 (whose s+1 are the excluded 2 and 3)
+    # offers the prime s+1.  ln of the tail is sum of ln(1 + 1/s) <= sum of
+    # 1/s over s > cap-1: from its first such s a column is geometric with
+    # ratio 1/3, and the columns with 2^a already above cap-1 sum to a
     # geometric series in a.
     top = (cap - 1).bit_length() - 1  # floor(log2(cap-1))
+    primes = []
     tail = Fraction(0)
     for a in range(top + 1):
         s = 1 << a
         while s <= cap - 1:
+            if s > 2 and is_prime(s + 1).is_prime:
+                primes.append(s + 1)
             s *= 3
         tail += Fraction(3, 2) / s
     tail += Fraction(3, 2) / (1 << top)
+    primes.sort()
+    partial = Fraction(1)
+    for p in primes:
+        partial *= Fraction(p, p - 1)
 
     # rounding the exact product up to 12 decimals keeps it a certified
     # upper bound while keeping reports readable

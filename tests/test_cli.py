@@ -217,6 +217,38 @@ class TestReports:
         assert reports[0]["below_two"] is True
         assert reports[0]["partial_product_decimal"].startswith("1.926")
 
+    def test_product_bound_cap_floor(self):
+        # below cap 5 the tail bound is at least 1, outside exp_upper's domain
+        for cap in (2, 3, 4):
+            code, out, err = run_cli("product-bound", "--cap", cap)
+            assert code == EXIT_USAGE, cap
+            assert out == "" and "Traceback" not in err
+            assert "need 5 <= --cap" in err
+        code, out, _ = run_cli("product-bound", "--cap", 5)
+        assert code == EXIT_OK
+        assert parse_jsonl(out)[3][0]["primes_used"] == [5]
+
+    def test_report_cap_limit(self, monkeypatch, capsys):
+        # a cap above DETERMINISTIC_LIMIT is refused before any enumeration
+        import cullen_lehmer.cli as cli
+
+        def no_walk(cap):
+            raise AssertionError(f"enumeration at cap {cap}")
+
+        for command in ("bounds", "product-bound"):
+            out = io.StringIO()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "two_three_product_bound", no_walk)
+                m.setattr(cli, "cascade_verify", no_walk)
+                argv = [command, "--cap", str(DETERMINISTIC_LIMIT + 1)]
+                assert main(argv, out=out) == EXIT_USAGE, command
+            assert out.getvalue() == ""
+            assert f"--cap <= {DETERMINISTIC_LIMIT}" in capsys.readouterr().err
+        out = io.StringIO()
+        assert main(["product-bound", "--cap", str(DETERMINISTIC_LIMIT)], out=out) == EXIT_OK
+        _, _, _, reports = parse_jsonl(out.getvalue())
+        assert len(reports[0]["primes_used"]) == 193
+
     @pytest.mark.parametrize("command", [
         ["bounds"], ["pigeonhole", "40", "11"], ["product-bound", "--cap", "1000"],
     ])
@@ -649,7 +681,12 @@ class TestGoldenBodies:
         (("bounds",), "13d3067fff4b2fc4ce994804004c1251b14f721e1d88988d8a054ddf7994b944"),
         (("bounds", "--cap", 10_000),
          "a66ad81923b1b3819ac945b2b23798bc38a164266cf44804c4376c9f63381e16"),
-    ], ids=["bounds", "bounds-cap-10000"])
+        # the two ends of the product's domain
+        (("product-bound", "--cap", 5),
+         "e7ec4ee686d723614932baeeb0aac38c118ccf97d182ea7ae39626b9f60941a3"),
+        (("product-bound", "--cap", DETERMINISTIC_LIMIT),
+         "2c2784a5433a54ea2193603c950b5ed0299407f78fa7a093dc8fbfbe97bfe5b2"),
+    ], ids=["bounds", "bounds-cap-10000", "product-bound-cap-5", "product-bound-cap-limit"])
     def test_report_body_digest(self, args, digest):
         code, out, _ = run_cli(*args)
         assert code == EXIT_OK

@@ -9,11 +9,11 @@ from cullen_lehmer import (
     PROBABLE_PRIME,
     cullen,
     fermat_status,
-    gen_two_three_primes,
     is_prime,
     lehmer_constrained_factor,
     odd_divisors,
     proth_test,
+    two_three_product_bound,
 )
 from cullen_lehmer.primality import (
     _MR_BASES,
@@ -376,15 +376,13 @@ class TestStructuredPrimes:
 
 
 class TestTwoThreePrimes:
-    def test_examples(self):
-        assert [tp.value for tp in gen_two_three_primes(20)] == [2, 3, 5, 7, 13, 17, 19]
-        assert [tp.value for tp in gen_two_three_primes(2)] == [2]
-        big = {tp.value for tp in gen_two_three_primes(1300)}
-        assert {433, 487, 577, 769, 1153, 1297} <= big
+    """The primes 2^a*3^b + 1 that the smooth-prime product walks, 2 and 3
+    excluded."""
 
-    def test_exponent_fields(self):
-        for tp in gen_two_three_primes(2000):
-            assert tp.value == 2**tp.a * 3**tp.b + 1
+    def test_examples(self):
+        assert two_three_product_bound(20).primes_used == (5, 7, 13, 17, 19)
+        big = set(two_three_product_bound(1300).primes_used)
+        assert {433, 487, 577, 769, 1153, 1297} <= big
 
     def test_against_smooth_filter_oracle(self):
         # independent oracle: sieve primes, keep p with p-1 having no prime
@@ -402,4 +400,6 @@ class TestTwoThreePrimes:
                 m //= 3
             if m == 1:
                 expected.append(p)
-        assert [tp.value for tp in gen_two_three_primes(limit)] == expected
+        # the product leaves out 2 and 3
+        assert list(two_three_product_bound(limit).primes_used) == expected[2:]
+        assert expected[:2] == [2, 3]

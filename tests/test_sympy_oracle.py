@@ -1,11 +1,15 @@
 """Differential tests against sympy's independent number theory: full
-factorizations of small Cullen values, Euler's totient, and primality."""
+factorizations of small Cullen values, Euler's totient, primality, and the
+primes 2^a*3^b + 1 of the smooth-prime product."""
 
 import random
 
 import pytest
 
-from cullen_lehmer import FactorBudget, cullen, euler_phi, general_factor, is_prime
+from cullen_lehmer import (
+    FactorBudget, cullen, euler_phi, general_factor, is_prime, two_three_product_bound,
+)
+from cullen_lehmer.primality import DETERMINISTIC_LIMIT
 
 sympy = pytest.importorskip("sympy")
 
@@ -81,3 +85,15 @@ def test_is_prime_matches_isprime_past_the_deterministic_limit():
     mismatches = [x for x in values if is_prime(x).probably_prime != sympy.isprime(x)]
     assert mismatches == []
     assert sum(is_prime(x).probably_prime for x in values) == 28
+
+
+def test_two_three_primes_match_isprime_at_the_deterministic_limit():
+    # the largest cap the product accepts: sympy tests s+1 for each of the
+    # 2,160 3-smooth s <= cap-1 but 1 and 2, whose s+1 the product leaves out
+    cap = DETERMINISTIC_LIMIT
+    smooth = [2**a * 3**b for a in range(cap.bit_length()) for b in range(cap.bit_length())
+              if 2**a * 3**b <= cap - 1]
+    assert len(smooth) == 2160
+    expected = sorted(s + 1 for s in smooth if s > 2 and sympy.isprime(s + 1))
+    assert len(expected) == 193
+    assert list(two_three_product_bound(cap).primes_used) == expected

@@ -29,6 +29,7 @@ from cullen_lehmer.certified import (
     ceil_certified, enclose, floor_certified, ln_i, sqrt_i, surely_le, surely_lt,
 )
 from cullen_lehmer.factoring import VERDICT_PRIME
+from cullen_lehmer.primality import DETERMINISTIC_LIMIT
 from cullen_lehmer.verifier import _check_numerator_bound, _pair_limits, check_pair_bounds
 
 
@@ -449,8 +450,15 @@ class TestTwoThreeProduct:
         assert Fraction(35, 24) * Fraction(13, 12) > pb.cited_bound
 
     def test_rejects_tiny_cap(self):
+        # below 5 the tail bound is at least 1, outside exp_upper's domain
+        for cap in (1, 2, 3, 4):
+            with pytest.raises(ValueError):
+                two_three_product_bound(cap)
+
+    def test_rejects_cap_past_the_deterministic_limit(self):
+        # above the limit a listed prime could only be called probable
         with pytest.raises(ValueError):
-            two_three_product_bound(1)
+            two_three_product_bound(DETERMINISTIC_LIMIT + 1)
 
 
 @pytest.fixture(scope="module")
