@@ -21,6 +21,9 @@ from .errors import PrecisionError
 
 iv.dps = 60
 _ESCALATION_DPS = (60, 120, 240)
+_MID_DIGITS = 12  # fmt's significant digits
+_BOUND_DIGITS = 17  # bounds_str's significant digits per endpoint
+_EXP_TERMS = 40  # Taylor terms exp_upper sums before its tail bound
 
 Exact = int | Fraction
 
@@ -100,26 +103,26 @@ def ceil_certified(builder: Callable[[], object]) -> tuple[int, object]:
     return _round_certified(builder, "c")
 
 
-def fmt(x, digits: int = 12) -> str:
+def fmt(x) -> str:
     """Deterministic human-readable form of an enclosure's midpoint."""
-    return mpmath.nstr(mpmath.mpf(x.mid), digits)
+    return mpmath.nstr(mpmath.mpf(x.mid), _MID_DIGITS)
 
 
-def bounds_str(x, digits: int = 17) -> list[str]:
+def bounds_str(x) -> list[str]:
     """Deterministic [lower, upper] decimal strings of an enclosure."""
-    return [mpmath.nstr(mpmath.mpf(x.a), digits), mpmath.nstr(mpmath.mpf(x.b), digits)]
+    return [mpmath.nstr(mpmath.mpf(end), _BOUND_DIGITS) for end in (x.a, x.b)]
 
 
-def exp_upper(t: Fraction, terms: int = 40) -> Fraction:
+def exp_upper(t: Fraction) -> Fraction:
     """Exact rational upper bound on e^t for 0 <= t < 1.
 
-    Taylor series plus the geometric tail bound t^terms/terms! * 1/(1-t),
-    valid because successive term ratios are at most t < 1.
+    Taylor series to _EXP_TERMS terms plus the geometric tail bound
+    t^terms/terms! * 1/(1-t), valid as successive term ratios are <= t < 1.
     """
     if not 0 <= t < 1:
         raise ValueError("exp_upper needs 0 <= t < 1")
     total, term = Fraction(0), Fraction(1)
-    for k in range(terms):
+    for k in range(_EXP_TERMS):
         total += term
         term = term * t / (k + 1)
     return total + term / (1 - t)

@@ -57,8 +57,9 @@ def odd_divisors(n: int) -> list[int]:
     """All odd divisors of n, ascending and duplicate-free.
 
     Enumerates from the factorization of the odd part of n instead of
-    scanning every candidate; n here is always an index (at most around
-    10^6), never a Cullen value, so factoring it is cheap.
+    scanning every candidate; n here is always an index (at most
+    factoring.MAX_INDEX = 10^7 from the row commands), never a Cullen
+    value, so trial division by the odd d <= sqrt(n) is cheap.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .cullen import v2
-from .errors import BudgetError
+from .errors import BudgetError, FalsificationError
 
 PRIME = "prime"
 COMPOSITE = "composite"
@@ -325,11 +325,15 @@ def proth_test(n1: int, n2: int) -> PrimalityVerdict:
     return is_prime(N, within=(n1, n2))
 
 
-# Compositeness witnesses cheap enough to recheck live on every call.  For
-# 7..18 compositeness is settled in the literature, but certifying it here
-# would need factor tables or Pepin runs we do not reproduce; fermat_status
-# flags those verdicts as external.
-_FERMAT_FACTORS = {5: 641, 6: 274177}
+# A known factor of each composite Fermat number F_gamma = 2^2^gamma + 1
+# with 2^gamma below 6*10^5, the exponents the bound cascade reaches;
+# fermat_status rechecks it by gamma modular squarings on every call.
+_FERMAT_FACTORS = {
+    5: 641, 6: 274177, 7: 59649589127497217, 8: 1238926361552897, 9: 2424833,
+    10: 45592577, 11: 319489, 12: 114689, 13: 2710954639361,
+    14: 116928085873074369829035993834596371340386703423373313,
+    15: 1214251009, 16: 825753601, 17: 31065037602817, 18: 13631489, 19: 70525124609,
+}
 
 
 @dataclass(frozen=True)
@@ -337,30 +341,28 @@ class FermatStatus:
     gamma: int
     status: str
     factor: int | None
-    source: str  # "deterministic" | "verified-factor" | "external-table"
 
 
 def fermat_status(gamma: int) -> FermatStatus:
-    """Prime/composite classification of F_gamma = 2^2^gamma + 1 for gamma <= 18.
+    """Prime/composite classification of F_gamma = 2^2^gamma + 1 for
+    0 <= gamma <= 19, checked live on every call.
 
-    gamma <= 4 is decided by the deterministic tester, 5 and 6 by live
-    division against their classical factors, and 7..18 by embedded table
-    data flagged "external-table".
+    gamma <= 4 is decided prime by the deterministic tester; 5..19 are
+    composite from their factor p in _FERMAT_FACTORS, certified by
+    1 < p < 2^2^gamma and 2^2^gamma = -1 (mod p).  A failed check raises
+    FalsificationError.
     """
-    if not 0 <= gamma <= 18:
-        raise ValueError(f"gamma must be in 0..18, got {gamma}")
+    if not 0 <= gamma <= max(_FERMAT_FACTORS):
+        raise ValueError(f"gamma must be in 0..{max(_FERMAT_FACTORS)}, got {gamma}")
     if gamma <= 4:
         value = (1 << (1 << gamma)) + 1
-        verdict = is_prime(value)
-        if not verdict.is_prime:
-            raise AssertionError(f"F_{gamma} = {value} should be prime")
-        return FermatStatus(gamma, PRIME, None, "deterministic")
-    if gamma in _FERMAT_FACTORS:
-        p = _FERMAT_FACTORS[gamma]
-        if pow(2, 1 << gamma, p) != p - 1:
-            raise AssertionError(f"stored factor {p} does not divide F_{gamma}")
-        return FermatStatus(gamma, COMPOSITE, p, "verified-factor")
-    return FermatStatus(gamma, COMPOSITE, None, "external-table")
+        if not is_prime(value).is_prime:
+            raise FalsificationError("fermat", f"F_{gamma} = {value} should be prime")
+        return FermatStatus(gamma, PRIME, None)
+    p = _FERMAT_FACTORS[gamma]
+    if not (1 < p and p.bit_length() <= 1 << gamma and pow(2, 1 << gamma, p) == p - 1):
+        raise FalsificationError("fermat", f"stored factor {p} does not divide F_{gamma}")
+    return FermatStatus(gamma, COMPOSITE, p)
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,6 @@ MIN_DISTINCT_FACTORS = 14
 # The contradiction only ever needs "< 2".
 CITED_PRODUCT_BOUND = Fraction(146, 100)
 
-# Fermat exponent 19 is reachable from n < 6*10^5 (2^19 <= 599999) but sits
-# outside the 0..18 table; its compositeness is certified live from this
-# classical factor (33629 * 2^21 + 1).
-F19_FACTOR = 70525124609
-
-
 # ---------------------------------------------------------------------------
 # k bounds
 
@@ -353,9 +347,15 @@ class TwoThreeProductBound:
     partial_product: Fraction
     tail_bound: Fraction
     total_upper: Fraction
-    cited_bound: Fraction
-    exceeds_cited_bound: bool
-    below_two: bool
+    cited_bound = CITED_PRODUCT_BOUND
+
+    @property
+    def exceeds_cited_bound(self) -> bool:
+        return self.partial_product > self.cited_bound
+
+    @property
+    def below_two(self) -> bool:
+        return self.total_upper < 2
 
 
 def two_three_product_bound(cap: int) -> TwoThreeProductBound:
@@ -402,9 +402,6 @@ def two_three_product_bound(cap: int) -> TwoThreeProductBound:
         partial_product=partial,
         tail_bound=tail,
         total_upper=total,
-        cited_bound=CITED_PRODUCT_BOUND,
-        exceeds_cited_bound=partial > CITED_PRODUCT_BOUND,
-        below_two=total < 2,
     )
 
 
@@ -424,11 +421,14 @@ class CascadeStage:
 class BoundCascade:
     stages: tuple[CascadeStage, ...]
     product: TwoThreeProductBound
-    final_verdict: str
 
     @property
     def passed(self) -> bool:
         return all(stage.passed for stage in self.stages)
+
+    @property
+    def final_verdict(self) -> str:
+        return "contradiction established" if self.passed else "FALSIFIED"
 
 
 def _gap_monotone_from(n: int) -> bool:
@@ -450,25 +450,6 @@ def _log_ratio(x: int, base: int, shift: int = 0):
     """The certified floor of shift + ln x/ln base and the enclosure it was
     read from."""
     return floor_certified(lambda: shift + ln_i(x) / ln_i(base))
-
-
-def _ln3_recount(name: str, claim: str, n: int, printed: str, expected_floor: int) -> CascadeStage:
-    """k <= 5 + floor(ln n/ln 3): the five Fermat primes plus at most
-    ln n/ln 3 factors with m_p > 1, with the printed decimal checked to 5e-5."""
-    floor, ratio = _log_ratio(n, 3)
-    close = within(ratio, Fraction(printed), Fraction(5, 100_000))
-    return CascadeStage(
-        name=name,
-        claim=claim,
-        data={
-            f"ln({n})/ln(3)": bounds_str(ratio),
-            "printed_decimal": printed,
-            "printed_decimal_within_5e-5": close,
-            "floor": floor,
-            "k_cap": 5 + floor,
-        },
-        passed=floor == expected_floor and close,
-    )
 
 
 def _k_lower_push(n: int, k_cap: int) -> CascadeStage:
@@ -507,9 +488,9 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
             name="k-crossing",
             claim="k > sqrt(n)/(6 sqrt(ln n)) and k < 1 + 2.4 ln n force n < 600000",
             data={
-                "k_lower_at_600000": bounds_str(kl),
-                "k_upper_simplified_at_600000": bounds_str(ku.simplified),
-                "k_upper_exact_at_600000": bounds_str(ku.exact),
+                f"k_lower_at_{n_star}": bounds_str(kl),
+                f"k_upper_simplified_at_{n_star}": bounds_str(ku.simplified),
+                f"k_upper_exact_at_{n_star}": bounds_str(ku.exact),
                 "ratio_increasing_beyond": monotone,
                 "shape_constant_1/ln2+1/ln3": fmt(1 / ln_i(2) + 1 / ln_i(3)),
             },
@@ -517,10 +498,8 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
         )
     )
 
-    # Stage 2: Fermat exponents reachable below 600000.
-    n_max = 599_999
-    gamma_cap = n_max.bit_length() - 1  # 2^19 <= 599999 < 2^20
-    f19_ok = pow(2, 1 << 19, F19_FACTOR) == F19_FACTOR - 1
+    # Stage 2: Fermat exponents reachable below n_star.
+    gamma_cap = (n_star - 1).bit_length() - 1  # 2^19 <= 599999 < 2^20
     stages.append(
         CascadeStage(
             name="fermat-exponent-cap",
@@ -532,50 +511,58 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
                     "the usual quote says 18, but 2^19 = 524288 <= 599999; the "
                     "extra exponent 19 is composite, certified from its factor"
                 ),
-                "f19_factor": F19_FACTOR,
-                "f19_factor_verified": f19_ok,
             },
-            passed=gamma_cap == 19 and f19_ok,
+            passed=gamma_cap == 19,
         )
     )
 
-    # Stage 3: exactly five Fermat primes are available.
-    statuses = [fermat_status(g) for g in range(19)]
+    # Stage 3: exactly five Fermat primes are available, each verdict
+    # checked live by fermat_status.
+    statuses = [fermat_status(g) for g in range(gamma_cap + 1)]
     prime_gammas = [st.gamma for st in statuses if st.status == PRIME]
-    external = [st.gamma for st in statuses if st.source == "external-table"]
-    factors = {st.gamma: st.factor for st in statuses if st.factor is not None}
     stages.append(
         CascadeStage(
             name="fermat-prime-count",
             claim="among exponents 0..19 only 0..4 give Fermat primes",
             data={
                 "prime_gammas": prime_gammas,
-                "verified_factors": {**factors, 19: F19_FACTOR},
-                "external_table_gammas": external,
+                "verified_factors": {st.gamma: st.factor for st in statuses if st.factor},
             },
             passed=prime_gammas == [0, 1, 2, 3, 4],
         )
     )
+    fermat_count = len(prime_gammas)
 
-    # Stages 4-7: recount k with base 3, then push n down with k_lower.
-    stages += [
-        _ln3_recount(
-            "k<=17", "at most ln n/ln 3 factors have m_p > 1, so k <= 5 + 12 = 17",
-            600_000, "12.1104", 12,
-        ),
-        _k_lower_push(122_000, 17),
-        _ln3_recount(
-            "k<=15", "ln(122000)/ln 3 floors to 10, so k <= 5 + 10 = 15",
-            122_000, "10.6605", 10,
-        ),
-        _k_lower_push(93_000, 15),
-    ]
+    # Stages 4-7: recount k as the Fermat primes plus at most ln n/ln 3
+    # factors with m_p > 1, the printed decimal checked to 5e-5, then push
+    # n down with k_lower; each push starts the next recount.
+    n_bound = n_star
+    for name, claim, printed, expected_floor, pushed in (
+        ("k<=17", "at most ln n/ln 3 factors have m_p > 1, so k <= 5 + 12 = 17",
+         "12.1104", 12, 122_000),
+        ("k<=15", "ln(122000)/ln 3 floors to 10, so k <= 5 + 10 = 15", "10.6605", 10, 93_000),
+    ):
+        floor, ratio = _log_ratio(n_bound, 3)
+        close = within(ratio, Fraction(printed), Fraction(5, 100_000))
+        k_cap = fermat_count + floor
+        data = {
+            f"ln({n_bound})/ln(3)": bounds_str(ratio),
+            "printed_decimal": printed,
+            "printed_decimal_within_5e-5": close,
+            "floor": floor,
+            "k_cap": k_cap,
+        }
+        stages += [
+            CascadeStage(name, claim, data, passed=floor == expected_floor and close),
+            _k_lower_push(pushed, k_cap),
+        ]
+        n_bound = pushed
 
     # Stage 8: 3 must divide n.  Otherwise odd shape factors m_p > 1 are
     # products of primes >= 5, so at most ln n/ln 5 of them fit into n.
-    floor5_93, ratio5_93 = _log_ratio(93_000, 5)
+    floor5_n, ratio5_n = _log_ratio(n_bound, 5)
     floor5_100k, ratio5_100k = _log_ratio(100_000, 5)
-    count8 = floor5_93 + 5
+    count8 = floor5_n + fermat_count
     stages.append(
         CascadeStage(
             name="3-divides-n",
@@ -584,7 +571,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
                 "Cohen-Hagis floor of 14 distinct prime factors"
             ),
             data={
-                "ln(93000)/ln(5)": bounds_str(ratio5_93),
+                f"ln({n_bound})/ln(5)": bounds_str(ratio5_n),
                 "ln(100000)/ln(5)": bounds_str(ratio5_100k),
                 "quoted_operand_note": (
                     "the quoted decimal 7.15338 matches the evaluation at "
@@ -593,21 +580,24 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
                 "quoted_decimal_matches_100000": within(
                     ratio5_100k, Fraction("7.15338"), Fraction(5, 100_000)
                 ),
-                "floors": [floor5_93, floor5_100k],
+                "floors": [floor5_n, floor5_100k],
                 "k_cap_if_3_absent": count8,
                 "min_distinct_factors": MIN_DISTINCT_FACTORS,
                 "min_distinct_factors_source": "external (Cohen & Hagis)",
             },
-            passed=floor5_93 == 7 and floor5_100k == 7 and count8 < MIN_DISTINCT_FACTORS,
+            passed=floor5_n == 7 and floor5_100k == 7 and count8 < MIN_DISTINCT_FACTORS,
         )
     )
 
-    # Stage 9: no prime q > 3 divides n.  With 3 | n (so the Fermat prime 3
-    # is unavailable: C(n) = n*2^n + 1 = 1 mod 3), a q > 3 would leave at
-    # most 1 + ln(93000/5)/ln 3 shape factors plus 4 Fermat primes.
-    floor_q, ratio_q = _log_ratio(18_600, 3, shift=1)
+    # Stage 9: no prime q > 3 divides n.  With 3 | n the Fermat prime
+    # F_0 = 3 is unavailable (C(n) = n*2^n + 1 = 1 mod 3), and a q > 3
+    # would leave at most 1 + ln(n/5)/ln 3 shape factors plus the other
+    # Fermat primes.
+    q_bound = -(-n_bound // 5)
+    floor_q, ratio_q = _log_ratio(q_bound, 3, shift=1)
     dec3 = within(ratio_q, Fraction("9.94849"), Fraction(5, 100_000))
-    count9 = floor_q + 4
+    available = sum(g > 0 for g in prime_gammas)
+    count9 = floor_q + available
     stages.append(
         CascadeStage(
             name="n-is-2a3b",
@@ -616,11 +606,11 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
                 "so n = 2^alpha * 3^beta"
             ),
             data={
-                "1+ln(18600)/ln(3)": bounds_str(ratio_q),
+                f"1+ln({q_bound})/ln(3)": bounds_str(ratio_q),
                 "printed_decimal": "9.94849",
                 "printed_decimal_within_5e-5": dec3,
                 "floor": floor_q,
-                "fermat_primes_available": 4,
+                "fermat_primes_available": available,
                 "three_divides_cullen_note": "3 | n makes C(n) = 1 mod 3",
                 "k_cap_if_q_present": count9,
             },
@@ -651,11 +641,7 @@ def cascade_verify(product_cap: int = 10_000_000) -> BoundCascade:
         )
     )
 
-    return BoundCascade(
-        stages=tuple(stages),
-        product=product,
-        final_verdict="contradiction established" if all(s.passed for s in stages) else "FALSIFIED",
-    )
+    return BoundCascade(stages=tuple(stages), product=product)
 
 
 # ---------------------------------------------------------------------------

@@ -678,9 +678,9 @@ class TestGoldenBodies:
     # the bound cascade's report prints mpmath interval endpoints as
     # decimals; these digests were taken with mpmath 1.3.0
     @pytest.mark.parametrize("args, digest", [
-        (("bounds",), "13d3067fff4b2fc4ce994804004c1251b14f721e1d88988d8a054ddf7994b944"),
+        (("bounds",), "989c9a2b4103349be1fd415a7e637cce50fc7f8eb81fb1526c178ee26e62d6b5"),
         (("bounds", "--cap", 10_000),
-         "a66ad81923b1b3819ac945b2b23798bc38a164266cf44804c4376c9f63381e16"),
+         "ab8bc6d410250ee0093e85b34ae5bc02f99b233190bc192a3bf32296ad383c71"),
         # the two ends of the product's domain
         (("product-bound", "--cap", 5),
          "e7ec4ee686d723614932baeeb0aac38c118ccf97d182ea7ae39626b9f60941a3"),
@@ -798,6 +798,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "cascade_verify", boom)
         out = io.StringIO()
         assert main(["bounds"], out=out) == EXIT_FALSIFIED
+
+    # a factor that does not divide F_5, the trivial divisor 1, and F_5 itself
+    @pytest.mark.parametrize("factor", [643, 1, 2**32 + 1])
+    def test_bad_fermat_factor_maps_to_2(self, factor, monkeypatch, capsys):
+        import cullen_lehmer.primality as primality
+
+        monkeypatch.setitem(primality._FERMAT_FACTORS, 5, factor)
+        assert main(["bounds", "--cap", "1000"], out=io.StringIO()) == EXIT_FALSIFIED
+        err = capsys.readouterr().err
+        assert f"FALSIFICATION: fermat: stored factor {factor} does not divide F_5" in err
+        assert "Traceback" not in err
 
     def test_io_error_maps_to_4(self, tmp_path):
         # cache path inside a missing, uncreatable directory

@@ -282,6 +282,24 @@ class TestSpecialForm:
                     least = next((p for p in plain if p < value), None)
                     assert _small_factor(value) == least, n
 
+    def test_scan_stops_when_the_gcd_is_used_up(self, monkeypatch):
+        # each prime divided out of the gcd shrinks it, so for N = 30 the
+        # scan draws 2, 3, 5 and then 7, where nothing is left, instead of
+        # all 9,592 primes below 10^5
+        import cullen_lehmer.primality as primality
+
+        primality._prime_product(100_000)  # built here, not from the counted sieve
+        real, drawn = primality._sieve, []
+
+        def counted(limit):
+            for p in real(limit):
+                drawn.append(p)
+                yield p
+
+        monkeypatch.setattr(primality, "_sieve", counted)
+        assert list(_small_prime_divisors(30, 100_000)) == [2, 3, 5]
+        assert drawn == [2, 3, 5, 7]
+
     @pytest.mark.parametrize("n, least, bounds", [
         (141, None, [2000]),             # 155 bits, prime: no second stage
         (590, 3, [2000]),                # 600 bits
@@ -327,16 +345,16 @@ class TestFermat:
         assert fermat_status(4).status == PRIME
         st5 = fermat_status(5)
         assert st5.status == COMPOSITE and st5.factor == 641
-        assert st5.source == "verified-factor"
         st6 = fermat_status(6)
         assert st6.factor == 274177 and (2**64 + 1) % 274177 == 0
-        st18 = fermat_status(18)
-        assert st18.status == COMPOSITE and st18.source == "external-table"
-        for g in range(19):
+        assert fermat_status(19).factor == 70525124609
+        for g in range(20):
             st = fermat_status(g)
             assert st.status == (PRIME if g <= 4 else COMPOSITE)
+            if g > 4:  # a nontrivial factor, divided out with plain integers
+                assert 1 < st.factor < 2 ** 2**g + 1 and (2 ** 2**g + 1) % st.factor == 0
 
-    @pytest.mark.parametrize("bad", [-1, 19, 100])
+    @pytest.mark.parametrize("bad", [-1, 20, 100])
     def test_range_errors(self, bad):
         with pytest.raises(ValueError):
             fermat_status(bad)

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cullen_lehmer import (
+    PRIME,
     FalsificationError,
+    FermatStatus,
     PigeonholePair,
     StructuredPrime,
     a_expression,
@@ -496,11 +498,32 @@ class TestCascade:
         by_name = {s.name: s for s in cascade.stages}
         cap_stage = by_name["fermat-exponent-cap"]
         assert cap_stage.data["computed_cap"] == 19
-        assert cap_stage.data["f19_factor_verified"]
         count_stage = by_name["fermat-prime-count"]
         assert count_stage.data["prime_gammas"] == [0, 1, 2, 3, 4]
-        assert count_stage.data["verified_factors"] == {5: 641, 6: 274177, 19: 70525124609}
-        assert count_stage.data["external_table_gammas"] == list(range(7, 19))
+        factors = count_stage.data["verified_factors"]
+        assert list(factors) == list(range(5, 20))
+        assert factors[5] == 641 and factors[6] == 274177 and factors[19] == 70525124609
+
+    def test_stages_carry_the_fermat_count(self, monkeypatch):
+        # one more Fermat prime raises every count that the later stages
+        # take from the fermat-prime-count stage, and the chain breaks
+        real = verifier.fermat_status
+
+        def five_is_prime(gamma):
+            return FermatStatus(5, PRIME, None) if gamma == 5 else real(gamma)
+
+        monkeypatch.setattr(verifier, "fermat_status", five_is_prime)
+        broken = cascade_verify(1000)
+        by_name = {s.name: s for s in broken.stages}
+        assert by_name["fermat-prime-count"].data["prime_gammas"] == [0, 1, 2, 3, 4, 5]
+        assert by_name["k<=17"].data["k_cap"] == 18
+        assert not by_name["n<122000"].passed  # k_lower(122000) is about 17.02
+        assert by_name["k<=15"].data["k_cap"] == 16
+        assert by_name["3-divides-n"].data["k_cap_if_3_absent"] == 13
+        assert by_name["n-is-2a3b"].data["fermat_primes_available"] == 5
+        assert by_name["n-is-2a3b"].data["k_cap_if_q_present"] == 14
+        assert not by_name["n-is-2a3b"].passed
+        assert not broken.passed and broken.final_verdict == "FALSIFIED"
 
     def test_branch_counts_stay_below_14(self, cascade):
         by_name = {s.name: s for s in cascade.stages}
@@ -517,10 +540,8 @@ class TestCascade:
                 "k_upper_exact_at_600000", "ratio_increasing_beyond",
                 "shape_constant_1/ln2+1/ln3",
             ]),
-            ("fermat-exponent-cap", [
-                "computed_cap", "cited_cap", "cap_note", "f19_factor", "f19_factor_verified",
-            ]),
-            ("fermat-prime-count", ["prime_gammas", "verified_factors", "external_table_gammas"]),
+            ("fermat-exponent-cap", ["computed_cap", "cited_cap", "cap_note"]),
+            ("fermat-prime-count", ["prime_gammas", "verified_factors"]),
             ("k<=17", ["ln(600000)/ln(3)", *ln3_recount]),
             ("n<122000", ["k_lower_at_122000", "monotone"]),
             ("k<=15", ["ln(122000)/ln(3)", *ln3_recount]),
