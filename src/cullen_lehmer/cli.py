@@ -8,6 +8,11 @@ never appears in the body, only deterministic work counters do.
 
 Exit codes: 0 success, 2 falsification detected, 3 usage error, 4 I/O or
 resource error.
+
+Only what a command runs is imported: the report commands import the proof
+layer (verifier, certified and mpmath) when they run, and a scan imports
+the process pool only when it starts one, so a row command at one worker
+loads neither.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -39,13 +43,6 @@ from .factoring import (
 )
 from .predicates import RatioReport, is_carmichael, lehmer_ratio
 from .primality import DETERMINISTIC_LIMIT
-from .verifier import (
-    cascade_as_dict,
-    cascade_verify,
-    pigeonhole_pair,
-    product_as_dict,
-    two_three_product_bound,
-)
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 2
@@ -211,6 +208,8 @@ def _compute_rows(ns, budget: FactorBudget, cache: FactorCache, workers: int):
         for n in ns:
             yield stored(_compute(n, budget, cache.entry(n)))
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_lift_int_digit_limit) as pool:
         window = deque()  # futures in submission order, which is ascending n
         for n in ns:
@@ -367,6 +366,8 @@ def _cmd_bounds(args, out) -> int:
     # certifies its primes only up to DETERMINISTIC_LIMIT
     if not 1000 <= args.cap <= DETERMINISTIC_LIMIT:
         raise UsageError(f"bounds needs 1000 <= --cap <= {DETERMINISTIC_LIMIT}")
+    from .verifier import cascade_as_dict, cascade_verify, product_as_dict
+
     emitter = Emitter(out, False)
     emitter.header("bounds", {"cap": args.cap})
     cascade = cascade_verify(args.cap)
@@ -381,6 +382,8 @@ def _cmd_pigeonhole(args, out) -> int:
     # the bound the row commands use
     if not 2 <= args.n <= MAX_INDEX or not 1 <= args.np <= args.n:
         raise UsageError(f"need 2 <= n <= {MAX_INDEX} and 1 <= np <= n")
+    from .verifier import pigeonhole_pair
+
     emitter = Emitter(out, False)
     emitter.header("pigeonhole", {"n": args.n, "np": args.np})
     pair = pigeonhole_pair(args.n, args.np)
@@ -392,6 +395,8 @@ def _cmd_pigeonhole(args, out) -> int:
 def _cmd_product_bound(args, out) -> int:
     if not 5 <= args.cap <= DETERMINISTIC_LIMIT:  # two_three_product_bound's domain
         raise UsageError(f"need 5 <= --cap <= {DETERMINISTIC_LIMIT}")
+    from .verifier import product_as_dict, two_three_product_bound
+
     emitter = Emitter(out, False)
     emitter.header("product-bound", {"cap": args.cap})
     emitter.report(product_as_dict(two_three_product_bound(args.cap)))

@@ -520,6 +520,16 @@ class CacheEntry:
         return self.fact.is_complete, self.budget or 0
 
 
+def _decimal(token: str, field: str) -> int:
+    """The value of a cache number field, which must be in the form put
+    writes, str(int): ASCII digits alone, with no leading zero.  int() by
+    itself would also take a sign, underscores, spaces, leading zeros and
+    the digits of other scripts."""
+    if not (token.isascii() and token.isdigit()) or (len(token) > 1 and token[0] == "0"):
+        raise ValueError(f"{field} {token[:24]!r} is not canonical ASCII decimal")
+    return int(token)
+
+
 class FactorCache:
     """Persistent line-oriented map from index n to the factorization of C(n).
 
@@ -527,9 +537,10 @@ class FactorCache:
     (exponent suffix omitted when 1); lines starting with ``#`` are
     comments.  status is ``complete``, or ``partial@B`` for a partial
     factorization left by rho budget B.  Malformed or arithmetically
-    inconsistent lines, including a line that is not UTF-8, an index above
-    MAX_INDEX, a bare ``partial`` with no budget, a budget that is not a
-    non-negative integer of at most 20 digits, and a listed factor below
+    inconsistent lines, including a line that is not UTF-8, a number field
+    (index, budget, factor, exponent or cofactor) that is not canonical
+    ASCII decimal, an index above MAX_INDEX, a bare ``partial`` with no
+    budget, a budget of more than 20 digits, and a listed factor below
     DETERMINISTIC_LIMIT that is not prime, are skipped with a logged
     warning and counted, never silently trusted.  Of several lines for one
     n the one that says most is kept, by CacheEntry.rank, and the later one
@@ -574,16 +585,16 @@ class FactorCache:
             raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
         if len(parts[0]) > len(str(MAX_INDEX)):
             raise ValueError("index out of the cacheable range")
-        n = int(parts[0])
+        n = _decimal(parts[0], "index")
         if not 1 <= n <= MAX_INDEX:
             raise ValueError(f"index {n} out of the cacheable range")
         status, at, token = parts[1].partition("@")
         budget = None
         if at or status == PARTIAL:
-            if status != PARTIAL or not (token.isascii() and token.isdigit()) or len(token) > 20:
+            if status != PARTIAL or not token or len(token) > 20:
                 raise ValueError("a partial line needs its rho budget as partial@B, "
                                  "B at most 20 digits")
-            budget = int(token)
+            budget = _decimal(token, "rho budget")
         c = cullen(n)
         # no number field of a valid line is longer than C(n) in decimal; a
         # longer one is rejected before int(), whose cost is quadratic in it
@@ -591,11 +602,11 @@ class FactorCache:
         fields = parts[2].replace("^", " ").split() + [parts[3]]
         if max(map(len, fields)) > digits:
             raise ValueError(f"a number field is longer than C({n}), {digits} digits")
-        cofactor = int(parts[3])
+        cofactor = _decimal(parts[3], "cofactor")
         factors = []
         for tok in parts[2].split():
-            base, _, exp = tok.partition("^")
-            factors.append((int(base), int(exp) if exp else 1))
+            base, caret, exp = tok.partition("^")
+            factors.append((_decimal(base, "factor"), _decimal(exp, "exponent") if caret else 1))
         # p^k | C(n) bounds k by the bit lengths; an unbounded exponent
         # would make p**k below exhaust memory
         if any(k < 1 or (p.bit_length() - 1) * k >= c.value.bit_length() for p, k in factors):

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from math import prod
 from pathlib import Path
@@ -26,9 +27,8 @@ def inline_pool(monkeypatch):
     """Stand in for the CLI's process pool without starting a process: the
     initializer runs on entry and each call at submission.  Returns the
     indices submitted, in order."""
+    import concurrent.futures
     from concurrent.futures import Future
-
-    import cullen_lehmer.cli as cli_mod
 
     submitted = []
 
@@ -49,7 +49,7 @@ def inline_pool(monkeypatch):
             future.set_result(fn(n, *args))
             return future
 
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return submitted
 
 
@@ -122,9 +122,9 @@ class TestCheckAndScan:
         # a negative budget or fewer than one worker, by flag or environment;
         # CULLEN_WORKERS=2 would start a pool if validation came too late,
         # and with the pool class gone, starting one would raise instead
-        import cullen_lehmer.cli as cli_mod
+        import concurrent.futures
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", None)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
         argv = ["scan", "1", "3", "--cache", str(tmp_path / "c.txt")]
         for flag, value in (("--budget", "-1"), ("--workers", "0"), ("--workers", "-2")):
             env_name = "CULLEN_" + flag[2:].upper()
@@ -195,14 +195,14 @@ class TestReports:
 
     def test_pigeonhole_index_bound(self, monkeypatch, capsys):
         # n above MAX_INDEX is refused before any walk starts
-        import cullen_lehmer.cli as cli
+        import cullen_lehmer.verifier as verifier
 
         def no_walk(n, np_):
             raise AssertionError(f"pigeonhole_pair({n}, {np_}) called")
 
         out = io.StringIO()
         with monkeypatch.context() as m:
-            m.setattr(cli, "pigeonhole_pair", no_walk)
+            m.setattr(verifier, "pigeonhole_pair", no_walk)
             assert main(["pigeonhole", str(MAX_INDEX + 1), "12345"], out=out) == EXIT_USAGE
         assert out.getvalue() == ""
         assert f"n <= {MAX_INDEX}" in capsys.readouterr().err
@@ -230,7 +230,7 @@ class TestReports:
 
     def test_report_cap_limit(self, monkeypatch, capsys):
         # a cap above DETERMINISTIC_LIMIT is refused before any enumeration
-        import cullen_lehmer.cli as cli
+        import cullen_lehmer.verifier as verifier
 
         def no_walk(cap):
             raise AssertionError(f"enumeration at cap {cap}")
@@ -238,8 +238,8 @@ class TestReports:
         for command in ("bounds", "product-bound"):
             out = io.StringIO()
             with monkeypatch.context() as m:
-                m.setattr(cli, "two_three_product_bound", no_walk)
-                m.setattr(cli, "cascade_verify", no_walk)
+                m.setattr(verifier, "two_three_product_bound", no_walk)
+                m.setattr(verifier, "cascade_verify", no_walk)
                 argv = [command, "--cap", str(DETERMINISTIC_LIMIT + 1)]
                 assert main(argv, out=out) == EXIT_USAGE, command
             assert out.getvalue() == ""
@@ -790,12 +790,12 @@ class TestRowPipeline:
 
 class TestExitCodes:
     def test_falsification_maps_to_2(self, monkeypatch):
-        import cullen_lehmer.cli as cli_mod
+        import cullen_lehmer.verifier as verifier
 
         def boom(cap):
             raise FalsificationError("stage-x", "synthetic failure")
 
-        monkeypatch.setattr(cli_mod, "cascade_verify", boom)
+        monkeypatch.setattr(verifier, "cascade_verify", boom)
         out = io.StringIO()
         assert main(["bounds"], out=out) == EXIT_FALSIFIED
 
@@ -832,3 +832,65 @@ class TestConsoleScript:
                 entry()
             assert exc.value.code == code, argv
         assert parse_jsonl(capsys.readouterr().out)[1][0]["factors"] == "5 7 11"
+
+
+class TestImportSet:
+    """The row commands run without the proof layer or the process pool:
+    mpmath, verifier and certified load only for a report command or a
+    verifier name, and concurrent.futures.process only for a pool."""
+
+    GUARDED = ("mpmath", "cullen_lehmer.verifier", "cullen_lehmer.certified",
+               "concurrent.futures.process")
+    SCRIPT = """
+import io, json, sys
+import cullen_lehmer
+from cullen_lehmer.cli import main
+
+guarded, cache = json.loads(sys.argv[1]), sys.argv[2]
+steps = []
+for argv in (["check", "6", "--budget", "0", "--cache", cache],
+             ["scan", "1", "3", "--workers", "1", "--cache", cache],
+             ["bounds", "--cap", "999"], ["pigeonhole", "10000001", "1"],
+             ["product-bound", "--cap", "4"], ["bounds", "--cap", "1000"]):
+    code = main(argv, out=io.StringIO())
+    steps.append([argv[0], code, [m for m in guarded if m in sys.modules]])
+pair = cullen_lehmer.pigeonhole_pair(40, 11)
+try:
+    cullen_lehmer.no_such_name
+    missing = False
+except AttributeError:
+    missing = True
+print(json.dumps({"steps": steps, "pair": [pair.u, pair.v], "missing": missing}))
+"""
+
+    def test_row_commands_leave_the_proof_layer_unloaded(self, tmp_path):
+        # a fresh interpreter, since this one has imported every layer
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(self.GUARDED),
+             str(tmp_path / "c.txt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["steps"] == [
+            ["check", EXIT_OK, []],
+            ["scan", EXIT_OK, []],
+            ["bounds", EXIT_USAGE, []],
+            ["pigeonhole", EXIT_USAGE, []],
+            ["product-bound", EXIT_USAGE, []],
+            ["bounds", EXIT_OK, ["mpmath", "cullen_lehmer.verifier", "cullen_lehmer.certified"]],
+        ]
+        assert result["pair"] == [1, -3] and result["missing"]
+
+    def test_verifier_names_are_served_lazily(self):
+        import cullen_lehmer
+        import cullen_lehmer.verifier as verifier
+        from cullen_lehmer import cascade_verify
+
+        assert cascade_verify is verifier.cascade_verify
+        assert all(getattr(cullen_lehmer, name) is getattr(verifier, name)
+                   for name in cullen_lehmer._VERIFIER_NAMES)
+        assert {"cascade_verify", "pigeonhole_pair", "two_three_product_bound",
+                "lehmer_constrained_factor"} <= set(dir(cullen_lehmer))

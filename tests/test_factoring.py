@@ -631,6 +631,27 @@ class TestFactorCache:
         assert cache.entry(11).fact.factors == ((13, 1), (1733, 1))
         assert len(cache) == 2
 
+    @pytest.mark.parametrize("line", [
+        "6\tcomplete\t5 7 1_1\t1",             # an underscore in a factor
+        "+6\tcomplete\t5 7 11\t1",             # a signed index
+        "\u0666\tcomplete\t5 7 11\t1",         # an Arabic-Indic index
+        "6\tcomplete\t5 7 11\t+1",             # a signed cofactor
+        "6\tcomplete\t5^+1 7 11\t1",           # a signed exponent
+        "6\tcomplete\t5 7 \u0661\u0661\t1",    # an Arabic-Indic factor
+        "6\tcomplete\t5^ 7 11\t1",             # an empty exponent
+        "06\tcomplete\t5 7 11\t1",             # a leading zero
+        "6\tpartial@04096\t5\t77",             # a budget with a leading zero
+    ])
+    def test_number_fields_are_ascii_decimal(self, line, tmp_path, caplog):
+        # int() would read each of these numbers; put writes str(int), so
+        # a line in any other form is not one it wrote
+        path = tmp_path / "cache.txt"
+        path.write_text(line + "\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            cache = FactorCache(path)
+        assert cache.skipped_lines == 1 and len(cache) == 0
+        assert "is not canonical ASCII decimal" in caplog.records[0].getMessage()
+
 
 class TestPastTheDigitLimit:
     """C(n) past about 14,300 bits has more than CPython's default 4300

@@ -1,3 +1,5 @@
+from math import isqrt, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from cullen_lehmer.primality import (
     SMALL_PRIMES,
     SPECIAL_FORM_BITS,
     _mr_composite_witness,
+    _prime_product,
     _proth_pow,
     _sieve,
     _small_factor,
@@ -38,6 +41,22 @@ def sieve_flags(limit):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
     return flags
+
+
+class TestPrimeTables:
+    """The sieve and the prime products that the small-factor screen is
+    built on, against plain arithmetic."""
+
+    def test_sieve_equals_trial_division(self):
+        def prime(n):
+            return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+        assert _sieve(3000) == tuple(n for n in range(3001) if prime(n))
+
+    @pytest.mark.parametrize("bound, count", [(2000, 303), (10_000, 1229), (100_000, 9592)])
+    def test_prime_product_is_the_product(self, bound, count):
+        assert len(_sieve(bound)) == count
+        assert _prime_product(bound) == prod(_sieve(bound))
 
 
 class TestIsPrime:
