@@ -65,6 +65,16 @@ FACTOR_FIELDS = ["kind", "n", "cullen_bits", "factors", "factor_status",
                  "cofactor", "probable", "from_cache", "trial_divisions",
                  "rho_iterations"]
 
+# name -> (help, whether it takes n_min n_max rather than n, its fields); a
+# command with the research fields also prints a summary
+ROW_COMMANDS = {
+    "check": ("run the theorem pipeline for one index", False, SCAN_FIELDS),
+    "scan": ("run the theorem pipeline over a range", True, SCAN_FIELDS),
+    "carmichael": ("Korselt scan over a range of indices", True, RESEARCH_FIELDS),
+    "ratio": ("exact phi/gcd ratio scan over a range of indices", True, RESEARCH_FIELDS),
+    "factor": ("factor one Cullen number: check's factor columns", False, FACTOR_FIELDS),
+}
+
 
 class UsageError(Exception):
     pass
@@ -124,12 +134,10 @@ def build_parser() -> _Parser:
     fmt.add_argument("--csv", action="store_true", help="emit CSV rows")
     fmt.add_argument("--json", action="store_true", help="emit JSON lines (default)")
 
-    p = sub.add_parser("check", parents=[common], help="run the theorem pipeline for one index")
-    p.add_argument("n", type=int)
-
-    p = sub.add_parser("scan", parents=[common], help="run the theorem pipeline over a range")
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
+    for name, (help_text, ranged, _) in ROW_COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for arg in ("n_min", "n_max") if ranged else ("n",):
+            p.add_argument(arg, type=int)
 
     p = sub.add_parser("bounds", help="replay the bound cascade and the smooth-prime product")
     p.add_argument("--cap", type=int, default=10_000_000,
@@ -141,20 +149,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("product-bound", help="certified product over primes 2^a*3^b + 1")
     p.add_argument("--cap", type=int, default=10_000_000)
-
-    p = sub.add_parser("carmichael", parents=[common],
-                       help="Korselt scan over a range of indices")
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
-
-    p = sub.add_parser("ratio", parents=[common],
-                       help="exact phi/gcd ratio scan over a range of indices")
-    p.add_argument("n_min", type=int)
-    p.add_argument("n_max", type=int)
-
-    p = sub.add_parser("factor", parents=[common],
-                       help="factor one Cullen number: check's factor columns")
-    p.add_argument("n", type=int)
 
     return parser
 
@@ -278,6 +272,7 @@ def _csv_cell(value) -> str:
 def _scan_row(record: _Record) -> dict:
     """Every column of the scan schema; factor's are a subset of them."""
     search, fact = record.search, record.fact
+    proven = {p for p, _ in search.factorization.factors}  # structured or Proth-certified
     return {
         "kind": "row",
         "n": record.n,
@@ -289,7 +284,8 @@ def _scan_row(record: _Record) -> dict:
         "factors": fact.summary(),
         "factor_status": fact.status,
         "cofactor": fact.cofactor,
-        "probable": list(fact.probable),
+        "probable": [p for p, _ in fact.factors
+                     if p >= DETERMINISTIC_LIMIT and p not in proven],
         "ratio": str(record.ratio.ratio) if record.ratio else None,
         "carmichael": record.carmichael,
         "from_cache": record.from_cache,
@@ -322,19 +318,14 @@ def _cache_params(cache: FactorCache) -> dict:
 
 
 def _cmd_rows(args, out) -> int:
-    """check, scan, factor, ratio and carmichael: one record per index,
-    projected to the scan schema, to its factor columns or, with a summary,
-    to the research schema."""
-    if args.command in ("check", "factor"):
-        n_min = n_max = args.n
-    else:
-        n_min, n_max = args.n_min, args.n_max
+    """The ROW_COMMANDS: one record per index, projected to the command's
+    fields, with a summary after the research schema."""
+    _, ranged, fields = ROW_COMMANDS[args.command]
+    n_min, n_max = (args.n_min, args.n_max) if ranged else (args.n, args.n)
     if not 1 <= n_min <= n_max <= MAX_INDEX:
         raise UsageError(f"need 1 <= n_min <= n_max <= {MAX_INDEX}")
     budget, workers, cache = _resolve(args)
-    research = args.command in ("ratio", "carmichael")
-    fields = {"factor": FACTOR_FIELDS, "ratio": RESEARCH_FIELDS,
-              "carmichael": RESEARCH_FIELDS}.get(args.command, SCAN_FIELDS)
+    research = fields is RESEARCH_FIELDS
     emitter = Emitter(out, args.csv, fields)
     emitter.header(args.command, {"n_min": n_min, "n_max": n_max,
                                   "budget": budget.rho_iterations, "workers": workers,
@@ -404,14 +395,10 @@ def _cmd_product_bound(args, out) -> int:
 
 
 COMMANDS = {
-    "check": _cmd_rows,
-    "scan": _cmd_rows,
-    "ratio": _cmd_rows,
-    "carmichael": _cmd_rows,
+    **dict.fromkeys(ROW_COMMANDS, _cmd_rows),
     "bounds": _cmd_bounds,
     "pigeonhole": _cmd_pigeonhole,
     "product-bound": _cmd_product_bound,
-    "factor": _cmd_rows,
 }
 
 

@@ -27,9 +27,9 @@ from .primality import (
     COMPOSITE,
     DETERMINISTIC_LIMIT,
     PRIME,
-    PROBABLE_PRIME,
     PrimalityVerdict,
     StructuredPrime,
+    _pairwise_product,
     _sieve,
     _small_factor,
     _small_prime_divisors,
@@ -61,14 +61,14 @@ class Factorization:
     """A value with its known prime factors and the unfactored remainder.
 
     status is complete exactly when cofactor is 1; when partial, cofactor
-    holds the remainder, which may be composite or simply undecided.
-    probable lists any factor whose primality verdict is only probable.
+    holds the remainder, which may be composite or simply undecided.  How
+    each factor was found to be prime is not stored: general_factor states
+    which of its factors are only probable primes.
     """
 
     value: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
-    probable: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.cofactor < 1:
@@ -76,12 +76,10 @@ class Factorization:
         primes = [p for p, _ in self.factors]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("primes must be strictly ascending")
-        acc = self.cofactor
         for p, k in self.factors:
             if p < 2 or k < 1:
                 raise ValueError(f"bad factor entry ({p}, {k})")
-            acc *= p**k
-        if acc != self.value:
+        if _pairwise_product([self.cofactor, *(p**k for p, k in self.factors)]) != self.value:
             raise ValueError("factor product does not reproduce the value")
 
     @property
@@ -181,6 +179,9 @@ def general_factor(
     call, since each value tested divides N.  verdict, a primality verdict
     on N already computed by the caller, stands in for testing N again when
     trial division leaves N unchanged.
+
+    A listed factor below DETERMINISTIC_LIMIT is a proven prime, and one at
+    or above it only a probable prime, which Baillie-PSW passed.
     """
     if N < 2:
         raise ValueError(f"N must be at least 2, got {N}")
@@ -189,7 +190,6 @@ def general_factor(
     if counter is None:
         counter = WorkCounter()
     found: dict[int, int] = {}
-    probable: set[int] = set()
     leftovers: list[int] = []
 
     m = N
@@ -206,11 +206,8 @@ def general_factor(
 
     def settle(x: int, known: PrimalityVerdict | None = None) -> None:
         """Classify x as prime (record) or composite (queue for rho)."""
-        x_verdict = known or is_prime(x, within=within)
-        if x_verdict.probably_prime:
+        if (known or is_prime(x, within=within)).probably_prime:
             found[x] = found.get(x, 0) + 1
-            if x_verdict.status == PROBABLE_PRIME:
-                probable.add(x)
         else:
             stack.append(x)
 
@@ -234,7 +231,6 @@ def general_factor(
         value=N,
         factors=tuple(sorted(found.items())),
         cofactor=prod(leftovers),
-        probable=tuple(sorted(probable)),
     )
 
 
@@ -470,8 +466,7 @@ def extend_factorization(
     merged = dict(fact.factors)
     for p, k in sub.factors:
         merged[p] = merged.get(p, 0) + k
-    return Factorization(fact.value, tuple(sorted(merged.items())), sub.cofactor,
-                         sub.probable), False
+    return Factorization(fact.value, tuple(sorted(merged.items())), sub.cofactor), False
 
 
 def _cofactor_witness(c: CullenNumber, cofactor: int, verdict: PrimalityVerdict) -> str:
@@ -536,12 +531,15 @@ class FactorCache:
     One record per line: ``n<TAB>status<TAB>p1^e1 p2 ...<TAB>cofactor``
     (exponent suffix omitted when 1); lines starting with ``#`` are
     comments.  status is ``complete``, or ``partial@B`` for a partial
-    factorization left by rho budget B.  Malformed or arithmetically
-    inconsistent lines, including a line that is not UTF-8, a number field
-    (index, budget, factor, exponent or cofactor) that is not canonical
-    ASCII decimal, an index above MAX_INDEX, a bare ``partial`` with no
-    budget, a budget of more than 20 digits, and a listed factor below
-    DETERMINISTIC_LIMIT that is not prime, are skipped with a logged
+    factorization left by rho budget B.  The line holds no primality
+    verdicts: a row derives which factors are only probable primes.
+    Malformed or arithmetically inconsistent lines, including a line that
+    is not UTF-8, a number field (index, budget, factor, exponent or
+    cofactor) that is not canonical ASCII decimal, an explicit ``^1``, an
+    index above MAX_INDEX, a bare ``partial`` with no budget, a budget of
+    more than 20 digits, listed factors whose bit lengths less one, times
+    their exponents, sum to C(n)'s bit length or more, and a listed factor
+    below DETERMINISTIC_LIMIT that is not prime, are skipped with a logged
     warning and counted, never silently trusted.  Of several lines for one
     n the one that says most is kept, by CacheEntry.rank, and the later one
     on a tie.  Writers funnel through one lock; readers see the snapshot
@@ -606,17 +604,19 @@ class FactorCache:
         factors = []
         for tok in parts[2].split():
             base, caret, exp = tok.partition("^")
-            factors.append((_decimal(base, "factor"), _decimal(exp, "exponent") if caret else 1))
-        # p^k | C(n) bounds k by the bit lengths; an unbounded exponent
-        # would make p**k below exhaust memory
-        if any(k < 1 or (p.bit_length() - 1) * k >= c.value.bit_length() for p, k in factors):
-            raise ValueError(f"an exponent is out of range for C({n})")
-        # the line format has no probable column; the flag is recomputable
-        # since a factor's verdict is probable exactly beyond the
-        # deterministic threshold.  Factorization's product check rejects a
-        # line that does not reproduce C(n).
-        probable = tuple(p for p, _ in factors if p >= DETERMINISTIC_LIMIT)
-        fact = Factorization(c.value, tuple(factors), cofactor, probable)
+            k = _decimal(exp, "exponent") if caret else 1
+            if caret and k < 2:
+                raise ValueError(f"factor {tok[:24]!r} is not canonical ASCII decimal: "
+                                 "put writes exponents from 2 on")
+            factors.append((_decimal(base, "factor"), k))
+        # the listed p^k multiply to at least 2^sum((bits(p) - 1)*k), and
+        # those of C(n) to less than 2^bits(C(n)); checking this before any
+        # power is built bounds the memory and time of Factorization's
+        # product check, which rejects a line within the bound that does
+        # not reproduce C(n)
+        if sum((p.bit_length() - 1) * k for p, k in factors) >= c.value.bit_length():
+            raise ValueError(f"the listed factors are too large for C({n})")
+        fact = Factorization(c.value, tuple(factors), cofactor)
         if fact.status != status:
             raise ValueError(f"status {parts[1]!r} does not match the cofactor {cofactor}")
         # certify only below the limit, where it is cheap: a listed factor

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from cullen_lehmer import FactorBudget, cullen, general_factor
+from cullen_lehmer.primality import DETERMINISTIC_LIMIT
 
 CORPUS_MAX = 60
 
@@ -23,7 +24,7 @@ def factored_corpus():
     for n in range(1, CORPUS_MAX + 1):
         f = general_factor(cullen(n).value, budget)
         assert f.is_complete, f"C({n}) did not factor within the corpus budget"
-        assert not f.probable
+        assert all(p < DETERMINISTIC_LIMIT for p, _ in f.factors)
         value = 1
         for p, k in f.factors:
             value *= p**k

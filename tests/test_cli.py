@@ -675,6 +675,20 @@ class TestGoldenBodies:
             "9269adcbf0424087baf9c3e80d3d62ea44164e592cc9cfeabd38064e92880140"
         )
 
+    def test_warm_cache_scan_body_digest(self, tmp_path):
+        # scan at budget 0 a second time on one cache: its 7 rows served
+        # from the cache all list probable factors, a column that the
+        # research schema lacks and that the row derives from the search
+        cache = tmp_path / "c.txt"
+        for _ in range(2):
+            code, out, err = run_cli("scan", 550, 700, "--budget", 0, "--cache", cache)
+            assert code == EXIT_OK, err
+        cached = [row for row in parse_jsonl(out)[1] if row["from_cache"]]
+        assert len(cached) == 7 and all(row["probable"] for row in cached)
+        assert hashlib.sha256(body_of(out).encode()).hexdigest() == (
+            "960adc9d785971df1172d4605c6b25ea423483121207691f8a2089600cf124d1"
+        )
+
     # the bound cascade's report prints mpmath interval endpoints as
     # decimals; these digests were taken with mpmath 1.3.0
     @pytest.mark.parametrize("args, digest", [

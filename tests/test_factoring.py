@@ -1,4 +1,5 @@
 import logging
+import time
 from itertools import permutations
 from math import prod
 
@@ -641,6 +642,7 @@ class TestFactorCache:
         "6\tcomplete\t5^ 7 11\t1",             # an empty exponent
         "06\tcomplete\t5 7 11\t1",             # a leading zero
         "6\tpartial@04096\t5\t77",             # a budget with a leading zero
+        "6\tcomplete\t5^1 7 11\t1",           # an explicit ^1, which put omits
     ])
     def test_number_fields_are_ascii_decimal(self, line, tmp_path, caplog):
         # int() would read each of these numbers; put writes str(int), so
@@ -701,5 +703,34 @@ class TestPastTheDigitLimit:
         assert cache.skipped_lines == 5 and len(cache) == 0
         reasons = [rec.getMessage() for rec in caplog.records]
         assert sum(f"longer than C({self.N})" in r for r in reasons) == 2
-        assert sum("exponent is out of range" in r for r in reasons) == 1
+        assert sum(f"too large for C({self.N})" in r for r in reasons) == 1
         assert sum("cacheable range" in r for r in reasons) == 2
+
+
+class TestManyFactorTokens:
+    """The listed factors of a cache line are bounded together, not one at
+    a time, and their product is taken pairwise, so a line of many short
+    tokens costs time about linear in its length."""
+
+    def test_factor_sizes_are_bounded_per_line(self, tmp_path, caplog):
+        # each of 2..200 fits C(1000) on its own; together their bits,
+        # less one each, sum past its 1010 bits
+        path = tmp_path / "cache.txt"
+        tokens = " ".join(map(str, range(2, 201)))
+        path.write_text(f"1000\tcomplete\t{tokens}\t1\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            cache = FactorCache(path)
+        assert cache.skipped_lines == 1 and len(cache) == 0
+        assert "too large for C(1000)" in caplog.records[0].getMessage()
+
+    def test_many_tokens_are_rejected_quickly(self, tmp_path):
+        # 2..199,999 is a 1.3 MB line that fits C(10^7)'s bits, so only its
+        # product rejects it; one factor at a time onto a growing product
+        # took 8.6-12 s (2 vCPUs, CPython 3.11.7)
+        path = tmp_path / "cache.txt"
+        tokens = " ".join(map(str, range(2, 200_000)))
+        path.write_text(f"{MAX_INDEX}\tcomplete\t{tokens}\t1\n", encoding="utf-8")
+        start = time.perf_counter()
+        cache = FactorCache(path)
+        assert time.perf_counter() - start < 4
+        assert cache.skipped_lines == 1 and len(cache) == 0
